@@ -55,8 +55,9 @@ int main(int argc, char **argv) {
   std::vector<Config> Configs;
   Configs.push_back({"full optimizer", CompilerOptions()});
   {
+    // Folding is SCCP's job, inside the SSA mid-tier.
     CompilerOptions O;
-    O.Opt.Fold = false;
+    O.Opt.Ssa = false;
     Configs.push_back({"- folding", O});
   }
   {
@@ -82,13 +83,15 @@ int main(int argc, char **argv) {
 
   std::printf("%-16s %10s %8s %10s %12s\n", "config", "casts", "calls",
               "instrs", "vm ms/run");
-  size_t FullCasts = 0, NoOptCasts = 0;
+  size_t FullCasts = 0, NoFoldCasts = 0, NoOptCasts = 0;
   for (Config &C : Configs) {
     auto P = compileOrDie(Source, C.Options);
     const IrStats &S = P->stats().NormIr;
     double Ms = timeVm(*P, Opts.Quick ? 5 : 20);
     if (&C == &Configs.front())
       FullCasts = S.NumCasts;
+    if (&C == &Configs[1])
+      NoFoldCasts = S.NumCasts;
     if (&C == &Configs.back())
       NoOptCasts = S.NumCasts;
     std::printf("%-16s %10zu %8zu %10zu %12.3f\n", C.Name, S.NumCasts,
@@ -100,6 +103,7 @@ int main(int argc, char **argv) {
   if (!Opts.JsonPath.empty()) {
     JsonReport J("e10_ablation");
     J.metric("full_opt_residual_casts", (double)FullCasts);
+    J.metric("no_folding_residual_casts", (double)NoFoldCasts);
     J.metric("no_opt_residual_casts", (double)NoOptCasts);
     J.write(Opts.JsonPath);
   }

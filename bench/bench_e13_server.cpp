@@ -231,14 +231,14 @@ int main(int argc, char **argv) {
   SingleCfg.Workers = 4;
   SingleCfg.QueueCap = 256;
   SingleCfg.IoThreads = 1;
-  SingleCfg.VmPool = false;
+  SingleCfg.Exec.UsePool = false;
   double SingleRps =
       sustainedRps(SingleCfg, Root + "/single", Conns, SustN);
   ServerConfig PooledCfg;
   PooledCfg.Workers = 4;
   PooledCfg.QueueCap = 256;
   PooledCfg.IoThreads = IoThreads;
-  PooledCfg.VmPool = true;
+  PooledCfg.Exec.UsePool = true;
   double PooledRps =
       sustainedRps(PooledCfg, Root + "/pooled", Conns, SustN);
   fs::remove_all(Root);

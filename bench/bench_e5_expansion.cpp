@@ -210,14 +210,14 @@ def main() -> int { return 7; }
   // FieldGet/NullCheck chains only dominance-scoped load elimination
   // forwards) and drives classify<T> query ladders that SCCP folds
   // to straight-line code after specialization. Compiled twice — SSA
-  // sandwich off and on — the ratio of *retired* VM instructions
-  // (ssa-off / ssa-on, same program, same inputs) is the gated
-  // ssa_instr_reduction headline: deterministic, load-independent,
-  // and measured on exactly the code the sparse passes rewrote. The
-  // throughput legs check the rewrite is also a win (or at least
-  // free) at run time, and the opt wall-time sums check that SCCP
-  // subsuming ConstFold/CopyProp keeps the optimizer's total cost in
-  // the same envelope as the dense rounds it replaced.
+  // sandwich off (which folds nothing) and on — the ratio of *retired*
+  // VM instructions (ssa-off / ssa-on, same program, same inputs) is
+  // the gated ssa_instr_reduction headline: deterministic,
+  // load-independent, and measured on exactly the code the sparse
+  // passes rewrote. The throughput legs check the rewrite is also a
+  // win (or at least free) at run time, and the opt wall-time sums
+  // check that the sandwich keeps the optimizer's total cost in an
+  // envelope of the optimizer without it.
   std::string SsaSrc = corpus::genSsaWorkload(4, 2000);
   CompilerOptions SsaOff, SsaOn;
   SsaOff.Opt.Ssa = false;

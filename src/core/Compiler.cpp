@@ -10,24 +10,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 using namespace virgil;
-
-bool virgil::defaultMonoShareEnabled() {
-  // Read once per process: the CI share-stress lane flips the default
-  // for every compile in the binary without threading a flag through
-  // each construction site (same pattern as VIRGIL_VM_GC).
-  static const bool On = [] {
-    const char *E = std::getenv("VIRGIL_MONO_SHARE");
-    if (!E)
-      return true;
-    return !(std::string_view(E) == "off" || std::string_view(E) == "0" ||
-             std::string_view(E) == "false");
-  }();
-  return On;
-}
 
 namespace {
 
@@ -62,8 +46,6 @@ private:
 void bankPassTimes(PhaseTimings &T, const OptStats &S) {
   T.PassDevirtMs += S.DevirtMs;
   T.PassInlineMs += S.InlineMs;
-  T.PassFoldMs += S.FoldMs;
-  T.PassCopyPropMs += S.CopyPropMs;
   T.PassDceMs += S.DceMs;
   T.PassEscapeMs += S.EscapeMs;
   T.PassDeadFieldsMs += S.DeadFieldsMs;
@@ -85,8 +67,6 @@ PhaseTimings &PhaseTimings::operator+=(const PhaseTimings &O) {
   TotalMs += O.TotalMs;
   PassDevirtMs += O.PassDevirtMs;
   PassInlineMs += O.PassInlineMs;
-  PassFoldMs += O.PassFoldMs;
-  PassCopyPropMs += O.PassCopyPropMs;
   PassDceMs += O.PassDceMs;
   PassEscapeMs += O.PassEscapeMs;
   PassDeadFieldsMs += O.PassDeadFieldsMs;
@@ -100,12 +80,11 @@ std::string PhaseTimings::toString() const {
                 "parse %.2fms sema %.2fms lower %.2fms mono %.2fms "
                 "opt-mono %.2fms norm %.2fms opt-norm %.2fms share %.2fms "
                 "emit %.2fms total %.2fms (passes: devirt %.2f inline %.2f "
-                "fold %.2f copyprop %.2f dce %.2f escape %.2f "
-                "deadfields %.2f ssa %.2f)",
+                "dce %.2f escape %.2f deadfields %.2f ssa %.2f)",
                 ParseMs, SemaMs, LowerMs, MonoMs, OptMonoMs, NormMs,
                 OptNormMs, ShareMs, EmitMs, TotalMs, PassDevirtMs,
-                PassInlineMs, PassFoldMs, PassCopyPropMs, PassDceMs,
-                PassEscapeMs, PassDeadFieldsMs, PassSsaMs);
+                PassInlineMs, PassDceMs, PassEscapeMs, PassDeadFieldsMs,
+                PassSsaMs);
   return Buf;
 }
 
@@ -116,14 +95,13 @@ std::string PhaseTimings::toJson() const {
                 "\"mono_ms\":%.3f,\"opt_mono_ms\":%.3f,\"norm_ms\":%.3f,"
                 "\"opt_norm_ms\":%.3f,\"share_ms\":%.3f,\"emit_ms\":%.3f,"
                 "\"total_ms\":%.3f,\"pass_devirt_ms\":%.3f,"
-                "\"pass_inline_ms\":%.3f,\"pass_fold_ms\":%.3f,"
-                "\"pass_copyprop_ms\":%.3f,\"pass_dce_ms\":%.3f,"
+                "\"pass_inline_ms\":%.3f,\"pass_dce_ms\":%.3f,"
                 "\"pass_escape_ms\":%.3f,\"pass_deadfields_ms\":%.3f,"
                 "\"pass_ssa_ms\":%.3f}",
                 ParseMs, SemaMs, LowerMs, MonoMs, OptMonoMs, NormMs,
                 OptNormMs, ShareMs, EmitMs, TotalMs, PassDevirtMs,
-                PassInlineMs, PassFoldMs, PassCopyPropMs, PassDceMs,
-                PassEscapeMs, PassDeadFieldsMs, PassSsaMs);
+                PassInlineMs, PassDceMs, PassEscapeMs, PassDeadFieldsMs,
+                PassSsaMs);
   return Buf;
 }
 

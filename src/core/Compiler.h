@@ -44,10 +44,6 @@
 
 namespace virgil {
 
-/// Process-wide default for specialization sharing, from
-/// VIRGIL_MONO_SHARE (on/1/true | off/0/false); on when unset.
-bool defaultMonoShareEnabled();
-
 struct CompilerOptions {
   /// Stop after lowering (Program keeps only the polymorphic IR).
   bool StopAfterLower = false;
@@ -59,7 +55,8 @@ struct CompilerOptions {
   bool Verify = true;
   /// Merge specializations with identical normalized bodies after
   /// opt-norm (bounds §4.3 code expansion; observationally invisible).
-  bool ShareSpecializations = defaultMonoShareEnabled();
+  /// Defaults from the share row of FeatureAxes (core/FeatureAxis.h).
+  bool ShareSpecializations = axisDefault(Axis::Share) != 0;
   /// When non-empty, print the IR (via IrPrinter) to stdout after every
   /// run of the named optimizer pass — `virgilc --dump-ir=<pass>`.
   /// Accepts the OptOptions::DumpAfter names; "ssa"/"sccp"/"loadelim"
@@ -86,8 +83,6 @@ struct PhaseTimings {
   /// OptNormMs stay authoritative for totals.
   double PassDevirtMs = 0;
   double PassInlineMs = 0;
-  double PassFoldMs = 0;
-  double PassCopyPropMs = 0;
   double PassDceMs = 0;
   double PassEscapeMs = 0;
   double PassDeadFieldsMs = 0;

@@ -99,16 +99,16 @@ uint64_t Executor::poolKeyFor(const ExecuteRequest &Req,
                               uint64_t HeapBytes) const {
   // Everything that shapes execution beyond per-run quotas: the source
   // content + compiler options (via the cache key, which also folds in
-  // the bytecode format version) and the heap geometry. Two requests
-  // with the same key are guaranteed bit-identical runs.
+  // the bytecode format version), the heap quota, and the engine
+  // settings of the Pool-keyed axes. Two requests with the same key are
+  // guaranteed bit-identical runs.
   const ServiceOptions &SO = Service.options();
   uint64_t H = BytecodeCache::keyFor(Req.Source, SO.Compile,
                                      SO.CacheFormatVersion);
   H = fnvMix(H, HeapBytes);
-  H = fnvMix(H, Config.VmNurseryBytes);
-  H = fnvMix(H, Config.VmGenerational ? 1 : 0);
-  H = fnvMix(H, (uint64_t)Config.VmJit);
-  H = fnvMix(H, Config.VmJitThreshold);
+  for (const FeatureAxis &A : FeatureAxes)
+    if (A.Key == AxisKey::Pool)
+      H = fnvMix(H, axisValue(A.Id, Config.Vm));
   return H;
 }
 
@@ -197,8 +197,6 @@ ExecuteResponse Executor::run(const ExecuteRequest &Req, bool ExecuteVm,
     };
     AddUs(Opt.DevirtUs, JR.Timings.PassDevirtMs);
     AddUs(Opt.InlineUs, JR.Timings.PassInlineMs);
-    AddUs(Opt.FoldUs, JR.Timings.PassFoldMs);
-    AddUs(Opt.CopyPropUs, JR.Timings.PassCopyPropMs);
     AddUs(Opt.DceUs, JR.Timings.PassDceMs);
     AddUs(Opt.EscapeUs, JR.Timings.PassEscapeMs);
     AddUs(Opt.DeadFieldsUs, JR.Timings.PassDeadFieldsMs);
@@ -207,14 +205,10 @@ ExecuteResponse Executor::run(const ExecuteRequest &Req, bool ExecuteVm,
   if (!ExecuteVm)
     return R; // COMPILE: cache is populated, nothing to run
 
-  VmOptions VO;
+  VmOptions VO = Config.Vm;
   VO.MaxInstrs = Fuel;
   VO.MaxHeapBytes = HeapBytes;
   VO.DeadlineMs = DeadlineMs;
-  VO.Generational = Config.VmGenerational;
-  VO.NurseryBytes = Config.VmNurseryBytes;
-  VO.Jit = Config.VmJit;
-  VO.JitThreshold = Config.VmJitThreshold;
 
   auto E0 = Clock::now();
   auto V = std::make_unique<Vm>(JR.Unit->bytecode(), VO);

@@ -95,8 +95,6 @@ struct OptCounters {
   /// (atomics can't hold doubles; STATS renders these back as ms).
   std::atomic<uint64_t> DevirtUs{0};
   std::atomic<uint64_t> InlineUs{0};
-  std::atomic<uint64_t> FoldUs{0};
-  std::atomic<uint64_t> CopyPropUs{0};
   std::atomic<uint64_t> DceUs{0};
   std::atomic<uint64_t> EscapeUs{0};
   std::atomic<uint64_t> DeadFieldsUs{0};
@@ -104,8 +102,9 @@ struct OptCounters {
 };
 
 struct ExecutorConfig {
-  /// Default and maximum per-request quotas (same clamping rule as
-  /// ServerConfig, which is where these come from in the daemon).
+  /// Default and maximum per-request quotas: a request may tighten
+  /// them, and anything above the maximum is clamped. virgild sets this
+  /// whole struct through ServerConfig::Exec.
   uint64_t DefaultFuel = 200u << 20;
   uint64_t DefaultHeapBytes = 64u << 20;
   uint32_t DefaultDeadlineMs = 5000;
@@ -113,20 +112,16 @@ struct ExecutorConfig {
   uint64_t MaxHeapBytes = 256u << 20;
   uint32_t MaxDeadlineMs = 30000;
 
-  /// Request-VM heap mode and nursery size; part of the pool key.
-  bool VmGenerational = true;
-  uint32_t VmNurseryBytes = 64 * 1024;
+  /// Request-VM engine settings. The Pool-keyed FeatureAxes rows (heap
+  /// mode, nursery size, JIT mode and threshold) default from the table
+  /// like any VmOptions and enter the pool key (a warm VM must never
+  /// serve a request that asked for another engine configuration). The
+  /// quota fields are set per request from the ones above.
+  VmOptions Vm;
 
-  /// Request-VM JIT tier: mode and hotness threshold; part of the pool
-  /// key (a warm VM's compiled code must never serve a request that
-  /// asked for a different tier configuration). Defaults follow the
-  /// VIRGIL_VM_JIT / VIRGIL_VM_JIT_THRESHOLD process environment.
-  VmOptions::JitMode VmJit = VmOptions::defaultJitMode();
-  uint32_t VmJitThreshold = VmOptions::defaultJitThreshold();
-
-  /// Warm-VM pooling (on by default; `--vm-pool off` for the ablation
-  /// and the differential baseline).
-  bool UsePool = true;
+  /// Warm-VM pooling: the pool row of FeatureAxes (on by default;
+  /// `--vm-pool off` for the ablation and the differential baseline).
+  bool UsePool = axisDefault(Axis::Pool) != 0;
   size_t PoolSize = 8;
 };
 

@@ -96,15 +96,17 @@ StrategyRun crashed(const char *Name, const std::string &What) {
 }
 
 /// Runs the strategies of one compiled program, appending to \p Runs.
-/// \p Suffix distinguishes the no-opt and shared pipelines. With
-/// \p NormAndVmOnly only the stages sharing can affect run (the poly
-/// and mono IR are identical either way, so re-running them on the
-/// shared pipeline would test nothing).
+/// \p Suffix distinguishes the no-opt and axis pipelines. With
+/// \p NormAndVmOnly only the stages an axis pass can affect run (the
+/// axis passes rewrite only post-mono IR, so re-running the poly and
+/// mono legs would test nothing). \p Axes selects the jit and pool VM
+/// legs.
 void runStrategies(Program &P, uint64_t MaxInstrs,
-                   const VmOptions &VmOpts, bool VmPooled, bool VmJit,
+                   const VmOptions &VmOpts, AxisSet Axes,
                    const std::string &Suffix,
                    std::vector<StrategyRun> &Runs,
                    bool NormAndVmOnly = false) {
+  const bool VmJit = Axes & axisBit(Axis::Jit);
   auto interpOn = [&](IrModule &M, const std::string &Name) {
     try {
       Interpreter I(M);
@@ -151,7 +153,7 @@ void runStrategies(Program &P, uint64_t MaxInstrs,
     JitOpts.JitThreshold = kOracleJitMidThreshold;
     vmOn("vm+jit-warm", JitOpts);
   }
-  if (!VmPooled)
+  if (!(Axes & axisBit(Axis::Pool)))
     return;
   // The warm-pool reuse protocol: run once to dirty every piece of
   // state a request can touch, reset, run again, and report the
@@ -179,108 +181,90 @@ void runStrategies(Program &P, uint64_t MaxInstrs,
 
 OracleReport DifferentialOracle::check(const std::string &Source) const {
   OracleReport Report;
+  // The selected axes that recompile the program. Each is forced ON in
+  // the legs of \p On below and OFF everywhere else (instead of
+  // following the process default), so each axis leg is a true
+  // on-vs-off differential.
+  AxisSet CompileAxes = 0;
+  for (const FeatureAxis &A : FeatureAxes)
+    if (A.Leg == AxisLeg::Compile || A.Leg == AxisLeg::CompileNoOpt)
+      CompileAxes |= Config.Axes & axisBit(A.Id);
 
-  // With the mono+share strategy the baseline legs force sharing OFF
-  // (instead of following the process default) so the "/share" legs
-  // are a true on-vs-off differential; the escape strategy does the
-  // same with the escape pass.
-  auto compileOne = [&](bool Optimize, bool Share, bool Escape = false,
-                        bool Ssa = false) -> std::unique_ptr<Program> {
+  auto compileOne = [&](bool Optimize,
+                        AxisSet On) -> std::unique_ptr<Program> {
     CompilerOptions Options;
     Options.Optimize = Optimize;
-    if (Config.MonoShare)
-      Options.ShareSpecializations = Share;
-    if (Config.OptEscape)
-      Options.Opt.Escape = Escape;
-    if (Config.OptSsa)
-      Options.Opt.Ssa = Ssa;
+    for (const FeatureAxis &A : FeatureAxes)
+      if (CompileAxes & axisBit(A.Id))
+        setAxisValue(A.Id, Options, (On & axisBit(A.Id)) != 0);
+    // Selecting ssa arms strict-SSA verification: a malformed phi or a
+    // dominance violation fails loudly at the pass boundary, not later
+    // as an unexplained value divergence.
+    bool PrevVerify = ssa::ssaVerifyEnabled();
+    if (Config.Axes & axisBit(Axis::Ssa))
+      ssa::setSsaVerifyEnabled(true);
     Compiler C(Options);
     std::string Error;
     auto P = C.compile("fuzz", Source, &Error);
+    ssa::setSsaVerifyEnabled(PrevVerify);
     if (!P && Report.CompileError.empty())
       Report.CompileError = Error;
     return P;
   };
+  // Compiles and runs one axis pipeline; false (with the report filled
+  // in) when it does not compile although the baseline did.
+  auto runAxisLeg = [&](bool Optimize, AxisSet On,
+                        const std::string &Suffix) {
+    auto PLeg = compileOne(Optimize, On);
+    if (!PLeg) {
+      Report.Kind = Outcome::CompileError;
+      Report.Detail = "compiles, but its " + Suffix + " pipeline does not";
+      return false;
+    }
+    runStrategies(*PLeg, Config.MaxInstrs, Config.Vm, Config.Axes, Suffix,
+                  Report.Runs, /*NormAndVmOnly=*/true);
+    return true;
+  };
 
-  auto P = compileOne(/*Optimize=*/true, /*Share=*/false);
+  auto P = compileOne(/*Optimize=*/true, 0);
   if (!P) {
     Report.Kind = Outcome::CompileError;
     Report.Detail = "program failed to compile";
     return Report;
   }
-  runStrategies(*P, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                Config.VmJit, "", Report.Runs);
-  if (Config.MonoShare) {
-    auto PShare = compileOne(/*Optimize=*/true, /*Share=*/true);
-    if (!PShare) {
-      // Compiling must not depend on the sharing pass.
-      Report.Kind = Outcome::CompileError;
-      Report.Detail = "compiles without sharing but not with it";
+  runStrategies(*P, Config.MaxInstrs, Config.Vm, Config.Axes, "",
+                Report.Runs);
+  // One leg per compile axis, then, with two or more, one with all of
+  // them on ("/share+escape+ssa").
+  std::string AllSuffix;
+  for (const FeatureAxis &A : FeatureAxes) {
+    if (!(CompileAxes & axisBit(A.Id)))
+      continue;
+    if (!runAxisLeg(/*Optimize=*/true, axisBit(A.Id),
+                    std::string("/") + A.Name))
       return Report;
-    }
-    runStrategies(*PShare, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                  Config.VmJit, "/share", Report.Runs,
-                  /*NormAndVmOnly=*/true);
+    AllSuffix += AllSuffix.empty() ? "/" : "+";
+    AllSuffix += A.Name;
   }
-  if (Config.OptEscape) {
-    auto PEscape =
-        compileOne(/*Optimize=*/true, /*Share=*/false, /*Escape=*/true);
-    if (!PEscape) {
-      // Compiling must not depend on the escape pass.
-      Report.Kind = Outcome::CompileError;
-      Report.Detail = "compiles without escape analysis but not with it";
-      return Report;
-    }
-    // Scalar replacement rewrites only the post-mono IR, so the poly
-    // and mono legs would re-test nothing.
-    runStrategies(*PEscape, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                  Config.VmJit, "/escape", Report.Runs,
-                  /*NormAndVmOnly=*/true);
-  }
-  if (Config.OptSsa) {
-    // Arm strict-SSA verification for this compile: a malformed phi or
-    // a dominance violation should fail loudly at the pass boundary,
-    // not surface later as an unexplained value divergence.
-    bool PrevVerify = ssa::ssaVerifyEnabled();
-    ssa::setSsaVerifyEnabled(true);
-    auto PSsa = compileOne(/*Optimize=*/true, /*Share=*/false,
-                           /*Escape=*/false, /*Ssa=*/true);
-    ssa::setSsaVerifyEnabled(PrevVerify);
-    if (!PSsa) {
-      // Compiling must not depend on the SSA mid-tier.
-      Report.Kind = Outcome::CompileError;
-      Report.Detail = "compiles without the SSA mid-tier but not with it";
-      return Report;
-    }
-    // The SSA sandwich rewrites only the post-mono IR, so the poly and
-    // mono legs would re-test nothing.
-    runStrategies(*PSsa, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                  Config.VmJit, "/ssa", Report.Runs,
-                  /*NormAndVmOnly=*/true);
-  }
+  if ((CompileAxes & (CompileAxes - 1)) &&
+      !runAxisLeg(/*Optimize=*/true, CompileAxes, AllSuffix))
+    return Report;
 
   if (Config.CompareNoOpt) {
-    auto PNoOpt = compileOne(/*Optimize=*/false, /*Share=*/false);
+    auto PNoOpt = compileOne(/*Optimize=*/false, 0);
     if (!PNoOpt) {
       // Compiling the same source must not depend on the optimizer.
       Report.Kind = Outcome::CompileError;
       Report.Detail = "compiles optimized but not unoptimized";
       return Report;
     }
-    runStrategies(*PNoOpt, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                  Config.VmJit, "/no-opt", Report.Runs);
-    if (Config.MonoShare) {
-      auto PNoOptShare = compileOne(/*Optimize=*/false, /*Share=*/true);
-      if (!PNoOptShare) {
-        Report.Kind = Outcome::CompileError;
-        Report.Detail = "compiles without sharing but not with it "
-                        "(no-opt)";
+    runStrategies(*PNoOpt, Config.MaxInstrs, Config.Vm, Config.Axes,
+                  "/no-opt", Report.Runs);
+    for (const FeatureAxis &A : FeatureAxes)
+      if ((CompileAxes & axisBit(A.Id)) && A.Leg == AxisLeg::CompileNoOpt &&
+          !runAxisLeg(/*Optimize=*/false, axisBit(A.Id),
+                      std::string("/no-opt/") + A.Name))
         return Report;
-      }
-      runStrategies(*PNoOptShare, Config.MaxInstrs, Config.Vm,
-                    Config.VmPooled, Config.VmJit, "/no-opt/share",
-                    Report.Runs, /*NormAndVmOnly=*/true);
-    }
   }
 
   // Classify: crash > timeout > diag-divergence > value-divergence.

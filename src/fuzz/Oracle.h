@@ -26,6 +26,7 @@
 #ifndef VIRGIL_FUZZ_ORACLE_H
 #define VIRGIL_FUZZ_ORACLE_H
 
+#include "core/FeatureAxis.h"
 #include "vm/Vm.h"
 
 #include <cstdint>
@@ -75,7 +76,7 @@ struct OracleReport {
   /// Rendered diagnostics when Kind == CompileError.
   std::string CompileError;
   /// Per-strategy observations; optimized runs first, then (when
-  /// enabled) the "/share", "/no-opt", and "/no-opt/share" pipelines.
+  /// selected) each axis pipeline, then "/no-opt" and "/no-opt/share".
   std::vector<StrategyRun> Runs;
 
   bool diverged() const { return Kind != Outcome::Agree; }
@@ -94,51 +95,31 @@ struct OracleConfig {
   /// sweep run with e.g. a tiny nursery to stress minor collections
   /// while the interpreters remain the reference.
   VmOptions Vm;
-  /// Adds a "vm+pool" strategy: the same VM run twice through the
-  /// warm-pool reuse protocol (snapshot, run, resetForReuse, run),
-  /// reporting the *second* run. Any divergence from the plain vm leg
-  /// is a violation of the pool's observational-invisibility contract
-  /// (src/exec/VmPool.h).
-  bool VmPooled = false;
-  /// Adds "/share" strategies: the program is recompiled with
-  /// specialization sharing forced ON while the baseline legs force it
-  /// OFF, and the shared pipeline's norm-interp, vm (and vm+pool, when
-  /// VmPooled) runs must agree with everything else. Any divergence
-  /// breaks the sharing pass's observational-invisibility contract
-  /// (src/mono/ShareSpecializations.h). Applies to the no-opt pipeline
-  /// too when CompareNoOpt is set.
-  bool MonoShare = false;
-  /// Adds "/escape" strategies: the program is recompiled with escape
-  /// analysis + scalar replacement forced ON while the baseline legs
-  /// force it OFF, and the escape pipeline's norm-interp and vm runs
-  /// must agree with everything else. Any divergence breaks the escape
-  /// pass's observational-invisibility contract (src/opt/Escape.h).
-  /// Only the optimized pipeline participates — the no-opt pipeline
-  /// never runs the pass.
-  bool OptEscape = false;
-  /// Adds "/ssa" strategies: the program is recompiled with the SSA
-  /// mid-tier (pruned-SSA construction, SCCP, load/store elimination)
-  /// forced ON while the baseline legs force it OFF, and the SSA
-  /// pipeline's norm-interp and vm runs must agree with everything
-  /// else. Any divergence breaks the SSA sandwich's observational
-  /// invisibility (src/ssa/Ssa.h). The oracle also arms strict-SSA
-  /// verification for its compiles so malformed SSA is caught at the
-  /// pass boundary rather than as a downstream divergence. Only the
-  /// optimized pipeline participates — the no-opt pipeline never
-  /// enters SSA form.
-  bool OptSsa = false;
-  /// Adds "vm+jit" strategies: the same bytecode re-run with the
-  /// baseline JIT tier forced ON at hotness threshold 0 (everything
-  /// compiles before its first instruction) and at a mid threshold
-  /// (functions tier up mid-run, exercising OSR and deopt), while the
-  /// plain vm leg forces the JIT OFF so it stays the interpreter
-  /// reference. The tiers must agree on result, output, trap
-  /// diagnostics, *and* the executed-instruction count — the JIT's
-  /// exact-accounting contract. Inline-cache hit/miss counters are
-  /// deliberately not compared (tier-heuristic stats). On hosts
-  /// without JIT support the legs silently run interpreted and the
-  /// comparison is vacuous.
-  bool VmJit = false;
+  /// Feature axes whose differential legs run, one bit per Axis (the
+  /// FeatureAxes rows with an oracle leg; core/FeatureAxis.h):
+  ///
+  ///   * a Compile axis (share, escape, ssa) recompiles the program with
+  ///     the axis forced ON while every other leg forces it OFF, and runs
+  ///     that pipeline's norm-interp and VM legs as "/<name>"; share also
+  ///     does so for the no-opt pipeline ("/no-opt/share"). Two or more
+  ///     selected Compile axes add one leg with all of them ON together
+  ///     ("/share+escape+ssa"). Any divergence breaks that pass's
+  ///     observational invisibility. Selecting ssa arms strict-SSA
+  ///     verification for the oracle's compiles, so malformed SSA fails
+  ///     at the pass boundary rather than as a downstream divergence.
+  ///   * jit adds "vm+jit" legs to every pipeline: the same bytecode
+  ///     re-run with the baseline JIT forced ON at hotness threshold 0
+  ///     (everything compiles before its first instruction) and at a mid
+  ///     threshold (functions tier up mid-run, exercising OSR and deopt),
+  ///     while the plain vm leg forces the JIT OFF as the interpreter
+  ///     reference. The tiers must agree on result, output, trap
+  ///     diagnostics, *and* the executed-instruction count. On hosts
+  ///     without JIT support the legs run interpreted.
+  ///   * pool adds a "vm+pool" leg to every pipeline: the same VM run
+  ///     twice through the warm-pool reuse protocol (snapshot, run,
+  ///     resetForReuse, run), reporting the *second* run, which must
+  ///     match the plain vm leg (src/exec/VmPool.h).
+  AxisSet Axes = 0;
 };
 
 /// Mid hotness threshold used by the second vm+jit leg: small enough

@@ -6,36 +6,10 @@
 #include "ssa/Ssa.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <string_view>
 
 using namespace virgil;
 
-bool virgil::defaultOptEscapeEnabled() {
-  // Read once per process (same pattern as VIRGIL_MONO_SHARE).
-  static const bool On = [] {
-    const char *E = std::getenv("VIRGIL_OPT_ESCAPE");
-    if (!E)
-      return true;
-    return !(std::string_view(E) == "off" || std::string_view(E) == "0" ||
-             std::string_view(E) == "false");
-  }();
-  return On;
-}
-
-bool virgil::defaultOptSsaEnabled() {
-  static const bool On = [] {
-    const char *E = std::getenv("VIRGIL_OPT_SSA");
-    if (!E)
-      return true;
-    return !(std::string_view(E) == "off" || std::string_view(E) == "0" ||
-             std::string_view(E) == "false");
-  }();
-  return On;
-}
-
 OptStats &OptStats::operator+=(const OptStats &O) {
-  Folded += O.Folded;
   BranchesFolded += O.BranchesFolded;
   CopiesPropagated += O.CopiesPropagated;
   InstrsRemoved += O.InstrsRemoved;
@@ -55,8 +29,6 @@ OptStats &OptStats::operator+=(const OptStats &O) {
   PassRunsSkipped += O.PassRunsSkipped;
   DevirtMs += O.DevirtMs;
   InlineMs += O.InlineMs;
-  FoldMs += O.FoldMs;
-  CopyPropMs += O.CopyPropMs;
   DceMs += O.DceMs;
   EscapeMs += O.EscapeMs;
   DeadFieldsMs += O.DeadFieldsMs;
@@ -82,8 +54,6 @@ OptStats virgil::optimizeModule(IrModule &M, const OptOptions &Options) {
   enum Pass {
     PDevirt,
     PInline,
-    PFold,
-    PCopyProp,
     PSsa,
     PDce,
     PEscape,
@@ -131,11 +101,9 @@ OptStats virgil::optimizeModule(IrModule &M, const OptOptions &Options) {
           DomA.invalidateAll(); // Splicing callee blocks reshapes CFGs.
         return N;
       });
-    if (Options.Ssa) {
-      // The sandwich subsumes Fold and CopyProp: SCCP folds flow-
-      // sensitively in one pass and its Move RAUW is global copy
-      // propagation. Its stages handle their own tree invalidation.
+    if (Options.Ssa)
       Changes += Run(PSsa, &OptStats::SsaMs, "ssa-out", [&] {
+        // The sandwich's stages handle their own tree invalidation.
         ssa::SsaPassStats S;
         size_t N = ssa::runSsaPasses(M, DomA, S, Options.DumpAfter);
         Stats.PhisPlaced += S.PhisPlaced;
@@ -148,14 +116,6 @@ OptStats virgil::optimizeModule(IrModule &M, const OptOptions &Options) {
         Stats.InstrsRemoved += S.InstrsRemoved;
         return N;
       });
-    } else {
-      if (Options.Fold)
-        Changes += Run(PFold, &OptStats::FoldMs, "fold",
-                       [&] { return foldConstants(M, Stats); });
-      if (Options.CopyProp)
-        Changes += Run(PCopyProp, &OptStats::CopyPropMs, "copyprop",
-                       [&] { return propagateCopies(M, Stats); });
-    }
     if (Options.Dce)
       Changes += Run(PDce, &OptStats::DceMs, "dce", [&] {
         size_t N = eliminateDeadCode(M, Stats);
@@ -163,7 +123,7 @@ OptStats virgil::optimizeModule(IrModule &M, const OptOptions &Options) {
           DomA.invalidateAll(); // May delete unreachable blocks.
         return N;
       });
-    // After copy propagation and DCE so alias chains are short, and
+    // After SCCP and DCE so alias chains are short, and
     // before dead-field elimination so fields whose last loads were
     // scalarized away can be dropped in the same round.
     if (Options.Escape)

@@ -8,8 +8,9 @@
 /// compiler may then inline, resulting in code just as efficient as if
 /// the caller had called the appropriate print* method directly"):
 ///
-///  * constant folding + static cast/query folding + branch folding,
-///  * copy propagation (cleans the moves normalization introduces),
+///  * constant, static cast/query, and branch folding plus copy
+///    propagation: SCCP inside the SSA mid-tier (src/ssa); with Ssa off
+///    nothing folds,
 ///  * dead code and unreachable block elimination,
 ///  * class-hierarchy-analysis devirtualization,
 ///  * function inlining,
@@ -25,6 +26,7 @@
 #ifndef VIRGIL_OPT_PASSMANAGER_H
 #define VIRGIL_OPT_PASSMANAGER_H
 
+#include "core/FeatureAxis.h"
 #include "ir/Ir.h"
 
 #include <functional>
@@ -35,45 +37,33 @@ namespace ssa {
 class DominatorAnalysis;
 }
 
-/// Process-wide default for escape analysis + scalar replacement, from
-/// VIRGIL_OPT_ESCAPE (on/1/true | off/0/false); on when unset. The CI
-/// escape-stress lane flips this for every compile in a binary without
-/// threading a flag through each construction site (same pattern as
-/// VIRGIL_MONO_SHARE).
-bool defaultOptEscapeEnabled();
-
-/// Process-wide default for the SSA mid-tier (pruned-SSA construction,
-/// SCCP, load/store elimination), from VIRGIL_OPT_SSA (on/1/true |
-/// off/0/false); on when unset. The CI ssa-stress lane flips this for
-/// every compile in a binary, same pattern as VIRGIL_OPT_ESCAPE.
-bool defaultOptSsaEnabled();
-
 struct OptOptions {
-  bool Fold = true;
-  bool CopyProp = true;
   bool Dce = true;
   bool Inline = true;
   bool Devirtualize = true;
   bool DeadFields = true;
-  bool Escape = defaultOptEscapeEnabled();
-  /// Run optimization rounds through the SSA sandwich: SCCP (which
-  /// subsumes Fold + CopyProp — they are not run separately) and
+  /// Defaults from the escape row of FeatureAxes (core/FeatureAxis.h).
+  bool Escape = axisDefault(Axis::Escape) != 0;
+  /// Run optimization rounds through the SSA sandwich: SCCP and
   /// dominance-based load/store elimination over a shared dominator
-  /// analysis that Escape and the devirtualizer also consume.
-  bool Ssa = defaultOptSsaEnabled();
+  /// analysis that Escape and the devirtualizer also consume. Off runs
+  /// no folding at all. Defaults from the ssa row of FeatureAxes.
+  bool Ssa = axisDefault(Axis::Ssa) != 0;
   unsigned Rounds = 3;
   size_t InlineInstrLimit = 48;
-  /// When set, invoked with a pass name ("devirt", "inline", "ssa",
-  /// "sccp", "loadelim", "ssa-out", "fold", "copyprop", "dce",
-  /// "escape", "deadfields") after that pass runs — for
-  /// --dump-ir=<pass>. The "ssa"/"sccp"/"loadelim" dumps fire while
-  /// the module is still in SSA form (phis visible); "ssa-out" fires
-  /// after phi elimination.
+  /// When set, invoked with a pass name (one of OptPassNames) after
+  /// that pass runs — for --dump-ir=<pass>. The "ssa"/"sccp"/"loadelim"
+  /// dumps fire while the module is still in SSA form (phis visible);
+  /// "ssa-out" fires after phi elimination.
   std::function<void(const char *)> DumpAfter;
 };
 
+/// Every name OptOptions::DumpAfter reports.
+inline constexpr const char *OptPassNames[] = {
+    "devirt", "inline", "ssa",    "sccp",      "loadelim",
+    "ssa-out", "dce",   "escape", "deadfields"};
+
 struct OptStats {
-  size_t Folded = 0;
   size_t BranchesFolded = 0;
   size_t CopiesPropagated = 0;
   size_t InstrsRemoved = 0;
@@ -103,8 +93,6 @@ struct OptStats {
   /// Wall-clock milliseconds per pass, summed over rounds.
   double DevirtMs = 0;
   double InlineMs = 0;
-  double FoldMs = 0;
-  double CopyPropMs = 0;
   double DceMs = 0;
   double EscapeMs = 0;
   double DeadFieldsMs = 0;
@@ -117,8 +105,6 @@ struct OptStats {
 /// passes taking a DominatorAnalysis use the shared memoized dominator
 /// trees when one is supplied (the pass manager threads one through a
 /// whole optimizeModule invocation) and compute their own otherwise.
-size_t foldConstants(IrModule &M, OptStats &Stats);
-size_t propagateCopies(IrModule &M, OptStats &Stats);
 size_t eliminateDeadCode(IrModule &M, OptStats &Stats);
 size_t inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats);
 size_t devirtualize(IrModule &M, OptStats &Stats,

@@ -4,9 +4,10 @@
 /// The client side of the virgild protocol: a blocking connection that
 /// sends one request frame and reads one response frame, used by the
 /// virgil-load generator, the ServerTest suite, and bench_e13_server.
-/// One Client == one connection; requests on it are strictly
-/// pipeline-ordered (the server answers in request order), so a caller
-/// that wants concurrency opens more clients.
+/// One Client == one connection. The server answers a connection's
+/// requests in completion order, and responses carry no request id, so
+/// a Client sends one request and waits for its response before the
+/// next; a caller that wants concurrency opens more clients.
 ///
 /// Every call reports transport failures via the bool/Err convention;
 /// *protocol-level* outcomes (compile errors, traps, BUSY) are data,

@@ -5,8 +5,10 @@
 /// Each message travels as one net::Frame whose type byte is a MsgType
 /// and whose payload is the Wire-encoded struct below. Requests flow
 /// client→server, responses (0x80 bit set) server→client; every
-/// request gets exactly one response on the same connection, in
-/// request order.
+/// request gets exactly one response on the same connection. Workers
+/// push each response when its request finishes, so pipelined
+/// requests are answered in completion order, not request order, and
+/// responses carry no request id.
 ///
 ///   EXECUTE — compile (through the bytecode cache) and run on an
 ///             isolated VM under fuel/heap/deadline quotas.

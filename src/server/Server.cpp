@@ -35,8 +35,8 @@ ServerConfig normalized(ServerConfig C) {
   // Every shard needs at least one worker draining its queue.
   if (C.Workers < C.IoThreads)
     C.Workers = C.IoThreads;
-  if (C.VmPoolSize <= 0)
-    C.VmPool = false;
+  if (C.Exec.PoolSize == 0)
+    C.Exec.UsePool = false;
   return C;
 }
 
@@ -52,22 +52,9 @@ Server::Server(ServerConfig C)
   SO.Compile = Config.Compile;
   Service = std::make_unique<CompileService>(SO);
 
-  exec::ExecutorConfig EC;
-  EC.DefaultFuel = Config.DefaultFuel;
-  EC.DefaultHeapBytes = Config.DefaultHeapBytes;
-  EC.DefaultDeadlineMs = Config.DefaultDeadlineMs;
-  EC.MaxFuel = Config.MaxFuel;
-  EC.MaxHeapBytes = Config.MaxHeapBytes;
-  EC.MaxDeadlineMs = Config.MaxDeadlineMs;
-  EC.VmGenerational = Config.VmGenerational;
-  EC.VmNurseryBytes = Config.VmNurseryBytes;
-  EC.VmJit = Config.VmJit;
-  EC.VmJitThreshold = Config.VmJitThreshold;
-  EC.UsePool = Config.VmPool;
-  EC.PoolSize = (size_t)Config.VmPoolSize;
   Execs.reserve((size_t)Config.Workers);
   for (int W = 0; W != Config.Workers; ++W)
-    Execs.push_back(std::make_unique<exec::Executor>(EC, *Service));
+    Execs.push_back(std::make_unique<exec::Executor>(Config.Exec, *Service));
 }
 
 Server::~Server() { stop(); }
@@ -233,7 +220,7 @@ void Server::eventLoop(Shard &S) {
       // its responses.
       DrainDeadline =
           Clock::now() +
-          std::chrono::milliseconds(Config.MaxDeadlineMs + 5000);
+          std::chrono::milliseconds(Config.Exec.MaxDeadlineMs + 5000);
     }
 
     // This shard's TCP accept source: its own SO_REUSEPORT listener,
@@ -647,8 +634,8 @@ std::string Server::statsJson() const {
   {
     uint64_t Allocs = 0, Fields = 0, Closures = 0, Devirt = 0, Cha = 0;
     uint64_t Phis = 0, Sccp = 0, Loads = 0, Stores = 0, Nulls = 0;
-    uint64_t DevirtUs = 0, InlineUs = 0, FoldUs = 0, CopyPropUs = 0,
-             DceUs = 0, EscapeUs = 0, DeadFieldsUs = 0, SsaUs = 0;
+    uint64_t DevirtUs = 0, InlineUs = 0, DceUs = 0, EscapeUs = 0,
+             DeadFieldsUs = 0, SsaUs = 0;
     bool EscapeOn = false, SsaOn = false;
     for (const auto &E : Execs) {
       const exec::OptCounters &OC = E->optStats();
@@ -666,8 +653,6 @@ std::string Server::statsJson() const {
       Nulls += OC.NullChecksRemoved.load(std::memory_order_relaxed);
       DevirtUs += OC.DevirtUs.load(std::memory_order_relaxed);
       InlineUs += OC.InlineUs.load(std::memory_order_relaxed);
-      FoldUs += OC.FoldUs.load(std::memory_order_relaxed);
-      CopyPropUs += OC.CopyPropUs.load(std::memory_order_relaxed);
       DceUs += OC.DceUs.load(std::memory_order_relaxed);
       EscapeUs += OC.EscapeUs.load(std::memory_order_relaxed);
       DeadFieldsUs += OC.DeadFieldsUs.load(std::memory_order_relaxed);
@@ -685,8 +670,8 @@ std::string Server::statsJson() const {
                   "\"loads_eliminated\":%llu,\"stores_killed\":%llu,"
                   "\"null_checks_removed\":%llu,"
                   "\"pass_ms\":{\"devirt\":%.3f,\"inline\":%.3f,"
-                  "\"fold\":%.3f,\"copyprop\":%.3f,\"dce\":%.3f,"
-                  "\"escape\":%.3f,\"deadfields\":%.3f,\"ssa\":%.3f}}",
+                  "\"dce\":%.3f,\"escape\":%.3f,\"deadfields\":%.3f,"
+                  "\"ssa\":%.3f}}",
                   EscapeOn ? "true" : "false", SsaOn ? "true" : "false",
                   (unsigned long long)Allocs, (unsigned long long)Fields,
                   (unsigned long long)Closures,
@@ -694,9 +679,8 @@ std::string Server::statsJson() const {
                   (unsigned long long)Phis, (unsigned long long)Sccp,
                   (unsigned long long)Loads, (unsigned long long)Stores,
                   (unsigned long long)Nulls,
-                  DevirtUs / 1000.0, InlineUs / 1000.0, FoldUs / 1000.0,
-                  CopyPropUs / 1000.0, DceUs / 1000.0, EscapeUs / 1000.0,
-                  DeadFieldsUs / 1000.0, SsaUs / 1000.0);
+                  DevirtUs / 1000.0, InlineUs / 1000.0, DceUs / 1000.0,
+                  EscapeUs / 1000.0, DeadFieldsUs / 1000.0, SsaUs / 1000.0);
     OptJson = Buf;
   }
 
@@ -722,9 +706,10 @@ std::string Server::statsJson() const {
       Patches += JC.IcPatches.load(std::memory_order_relaxed);
       Mega += JC.IcMegamorphic.load(std::memory_order_relaxed);
     }
-    const char *Mode = Config.VmJit == VmOptions::JitMode::On    ? "on"
-                       : Config.VmJit == VmOptions::JitMode::Off ? "off"
-                                                                 : "auto";
+    const VmOptions::JitMode Jit = Config.Exec.Vm.Jit;
+    const char *Mode = Jit == VmOptions::JitMode::On    ? "on"
+                       : Jit == VmOptions::JitMode::Off ? "off"
+                                                        : "auto";
     char Buf[512];
     std::snprintf(Buf, sizeof(Buf),
                   "{\"mode\":\"%s\",\"threshold\":%u,"
@@ -734,7 +719,7 @@ std::string Server::statsJson() const {
                   "\"enters\":%llu,\"osr_entries\":%llu,"
                   "\"deopts\":%llu,\"ic_patches\":%llu,"
                   "\"ic_megamorphic\":%llu}",
-                  Mode, Config.VmJitThreshold, Avail ? "true" : "false",
+                  Mode, Config.Exec.Vm.JitThreshold, Avail ? "true" : "false",
                   Enabled ? "true" : "false",
                   (unsigned long long)Compiles,
                   (unsigned long long)Failures,
@@ -768,11 +753,11 @@ std::string Server::statsJson() const {
     std::snprintf(
         Buf, sizeof(Buf),
         "{\"io_threads\":%zu,\"poller\":\"%s\",\"vm_pool\":{"
-        "\"enabled\":%s,\"per_worker_cap\":%d,\"resident\":%llu,"
+        "\"enabled\":%s,\"per_worker_cap\":%zu,\"resident\":%llu,"
         "\"hits\":%llu,\"misses\":%llu,\"hit_rate_pct\":%.1f,"
         "\"evictions\":%llu,\"drops\":%llu}}",
         Shards.empty() ? (size_t)Config.IoThreads : Shards.size(), Backend,
-        Config.VmPool ? "true" : "false", Config.VmPoolSize,
+        Config.Exec.UsePool ? "true" : "false", Config.Exec.PoolSize,
         (unsigned long long)Resident, (unsigned long long)Hits,
         (unsigned long long)Misses, HitPct, (unsigned long long)Evictions,
         (unsigned long long)Drops);

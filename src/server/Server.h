@@ -88,37 +88,13 @@ struct ServerConfig {
   std::string CacheDir;
   uint64_t CacheMaxBytes = 0;
 
-  /// Default and maximum per-request quotas. A request may specify
-  /// tighter values; anything above the maximum is clamped.
-  uint64_t DefaultFuel = 200u << 20;        // ~200M instructions
-  uint64_t DefaultHeapBytes = 64u << 20;    // 64 MiB
-  uint32_t DefaultDeadlineMs = 5000;
-  uint64_t MaxFuel = 1u << 30;
-  uint64_t MaxHeapBytes = 256u << 20;
-  uint32_t MaxDeadlineMs = 30000;
-
-  /// Per-request VM heap mode: generational (nursery + promotion) or
-  /// the single-space semispace baseline. The heap-bytes quota caps
-  /// nursery + old space combined either way.
-  bool VmGenerational = true;
-  /// Nursery size in bytes for generational request heaps. Follows
-  /// the engine default (64 KiB): request heaps are zero-filled per
-  /// request, so a bigger nursery taxes every request's latency.
-  uint32_t VmNurseryBytes = 64 * 1024;
-
-  /// Request-VM JIT tier mode and hotness threshold (part of the warm
-  /// pool key). Defaults follow the VIRGIL_VM_JIT /
-  /// VIRGIL_VM_JIT_THRESHOLD process environment.
-  VmOptions::JitMode VmJit = VmOptions::defaultJitMode();
-  uint32_t VmJitThreshold = VmOptions::defaultJitThreshold();
-
-  /// Warm-VM pool (per worker): repeat sources skip the compile
-  /// service and heap setup entirely, reusing a reset VM whose
-  /// behavior is observationally identical to a fresh one. Off for
-  /// the ablation baseline and differential testing.
-  bool VmPool = true;
-  /// Warm VMs retained per worker.
-  int VmPoolSize = 8;
+  /// Per-request execution: default and maximum quotas (a request may
+  /// tighten them; anything above the maximum is clamped), the request
+  /// VM's engine settings (defaults from FeatureAxes), and the warm-VM
+  /// pool (per worker: repeat sources skip the compile service and heap
+  /// setup, reusing a reset VM observationally identical to a fresh
+  /// one; off for the ablation baseline and differential testing).
+  exec::ExecutorConfig Exec;
 
   CompilerOptions Compile;
 };

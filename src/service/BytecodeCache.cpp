@@ -49,16 +49,16 @@ uint64_t BytecodeCache::keyFor(std::string_view Source,
                                uint32_t FormatVersion) {
   uint64_t H = fnv1a64("virgil-bytecode-cache");
   hashU64(H, FormatVersion);
-  // Every option that changes the emitted module must feed the key.
+  // Every option that changes the emitted module must feed the key:
+  // the fixed pipeline switches here, the feature axes from their table.
   hashU64(H, (uint64_t)O.StopAfterLower << 0 | (uint64_t)O.Optimize << 1 |
-                 (uint64_t)O.Verify << 2 | (uint64_t)O.Opt.Fold << 3 |
-                 (uint64_t)O.Opt.CopyProp << 4 | (uint64_t)O.Opt.Dce << 5 |
-                 (uint64_t)O.Opt.Inline << 6 |
-                 (uint64_t)O.Opt.Devirtualize << 7 |
-                 (uint64_t)O.Opt.DeadFields << 8 |
-                 (uint64_t)O.ShareSpecializations << 9 |
-                 (uint64_t)O.Opt.Escape << 10 |
-                 (uint64_t)O.Opt.Ssa << 11);
+                 (uint64_t)O.Verify << 2 | (uint64_t)O.Opt.Dce << 3 |
+                 (uint64_t)O.Opt.Inline << 4 |
+                 (uint64_t)O.Opt.Devirtualize << 5 |
+                 (uint64_t)O.Opt.DeadFields << 6);
+  for (const FeatureAxis &A : FeatureAxes)
+    if (A.Key == AxisKey::Cache)
+      hashU64(H, axisValue(A.Id, O));
   hashU64(H, O.Opt.Rounds);
   hashU64(H, O.Opt.InlineInstrLimit);
   hashU64(H, Source.size());

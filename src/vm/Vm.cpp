@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 using namespace virgil;
 
@@ -56,70 +55,6 @@ HeapOptions heapOptionsFor(const VmOptions &Opts) {
 }
 
 } // namespace
-
-bool VmOptions::defaultGenerational() {
-  // Read once per process: the CI gc-stress lane flips the default for
-  // every Vm in the binary without threading a flag through each
-  // construction site. Tests that need a specific mode set the field
-  // explicitly and never depend on the environment.
-  static const bool Gen = [] {
-    const char *E = std::getenv("VIRGIL_VM_GC");
-    if (!E)
-      return true;
-    return !(std::string_view(E) == "semi" ||
-             std::string_view(E) == "semispace");
-  }();
-  return Gen;
-}
-
-uint32_t VmOptions::defaultNurseryBytes() {
-  static const uint32_t Bytes = [] {
-    if (const char *E = std::getenv("VIRGIL_VM_NURSERY_BYTES")) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(E, &End, 10);
-      if (End && *End == '\0' && V >= 128 && V <= (1u << 30))
-        return (uint32_t)V;
-    }
-    // 64 KiB: large enough that minor pauses amortize (thousands of
-    // slots between collections), small enough that the zero-filled
-    // per-Vm heap stays at the seed engine's 128 KiB footprint — see
-    // heapOptionsFor. Alloc-heavy workloads can raise it with
-    // --vm-nursery-bytes.
-    return (uint32_t)(64 * 1024);
-  }();
-  return Bytes;
-}
-
-VmOptions::JitMode VmOptions::defaultJitMode() {
-  static const JitMode Mode = [] {
-    const char *E = std::getenv("VIRGIL_VM_JIT");
-    if (!E)
-      return JitMode::Auto;
-    std::string_view S(E);
-    if (S == "on" || S == "1" || S == "true")
-      return JitMode::On;
-    if (S == "off" || S == "0" || S == "false")
-      return JitMode::Off;
-    return JitMode::Auto;
-  }();
-  return Mode;
-}
-
-uint32_t VmOptions::defaultJitThreshold() {
-  static const uint32_t Threshold = [] {
-    if (const char *E = std::getenv("VIRGIL_VM_JIT_THRESHOLD")) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(E, &End, 10);
-      if (End && *End == '\0' && V <= 0xFFFFFFFEul)
-        return (uint32_t)V;
-    }
-    // 64 entries/backward-branches: small enough that a benchmark's
-    // hot loop tiers up within its first few thousand instructions,
-    // large enough that one-shot code never pays a compile.
-    return 64u;
-  }();
-  return Threshold;
-}
 
 Vm::Vm(const BcModule &M, VmOptions Opts)
     : M(M), Options(Opts),

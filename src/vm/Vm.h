@@ -24,6 +24,7 @@
 #ifndef VIRGIL_VM_VM_H
 #define VIRGIL_VM_VM_H
 
+#include "core/FeatureAxis.h"
 #include "types/TypeRelations.h"
 #include "vm/BcPrepare.h"
 #include "vm/Heap.h"
@@ -83,29 +84,22 @@ struct VmOptions {
   /// Two-generation heap (nursery + promotion + write barrier). Off =
   /// the old single-space semispace collector, kept for ablation and
   /// differential fuzzing; both modes are observationally identical.
-  /// Process-wide default flips with VIRGIL_VM_GC=semi (read once).
-  bool Generational = defaultGenerational();
-  /// Nursery size in bytes (generational mode only). Process-wide
-  /// default (64 KiB) overridable once via VIRGIL_VM_NURSERY_BYTES —
-  /// the CI gc-stress lane shrinks it to 4 KiB.
-  uint32_t NurseryBytes = defaultNurseryBytes();
+  /// The four engine settings below default from their FeatureAxes rows
+  /// (core/FeatureAxis.h): gc, nursery-bytes, jit, jit-threshold.
+  bool Generational = axisDefault(Axis::Gc) != 0;
+  /// Nursery size in bytes (generational mode only).
+  uint32_t NurseryBytes = axisDefault(Axis::NurseryBytes);
   /// Baseline JIT tier (src/jit, DESIGN.md §15). Auto and On both run
   /// the tier when the host supports it (x86-64 with executable
   /// mappings) and fall back to interpreter-only when it does not;
   /// Off pins the interpreter. Both tiers are observationally
   /// identical — same results, output, traps, and executed-instruction
-  /// counts. Process default flips with VIRGIL_VM_JIT=on|off|auto.
+  /// counts.
   enum class JitMode : uint8_t { Auto, On, Off };
-  JitMode Jit = defaultJitMode();
+  JitMode Jit = JitMode(axisDefault(Axis::Jit));
   /// Hotness gate: a function tiers up once its entries + taken
   /// backward branches cross this count (0 = compile at first use).
-  /// Default 64, overridable via VIRGIL_VM_JIT_THRESHOLD.
-  uint32_t JitThreshold = defaultJitThreshold();
-
-  static bool defaultGenerational();
-  static uint32_t defaultNurseryBytes();
-  static JitMode defaultJitMode();
-  static uint32_t defaultJitThreshold();
+  uint32_t JitThreshold = axisDefault(Axis::JitThreshold);
 };
 
 /// JIT tier activity for one Vm, reported per run (cumulative across

@@ -223,7 +223,7 @@ def main() -> int {
 // and a register-pressure-heavy corpus program — as agreement.
 TEST(EscapeTest, OracleInvisibilityOnChurnWorkload) {
   fuzz::OracleConfig Config;
-  Config.OptEscape = true;
+  Config.Axes = axisBit(Axis::Escape);
   fuzz::DifferentialOracle Oracle(Config);
 
   fuzz::OracleReport R =

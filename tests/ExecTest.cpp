@@ -459,6 +459,20 @@ def main() -> int {
   EXPECT_EQ(F.Ex.poolSize(), 1u) << "one entry serves both budgets";
 }
 
+TEST(ExecutorTest, DefaultVmSettingsFollowTheAxisTable) {
+  // The request VM's engine settings default exactly like a plain
+  // VmOptions: from their FeatureAxes rows and environment variables
+  // (the CI stress matrix overrides those), never hard-coded.
+  ExecutorConfig EC;
+  VmOptions Plain;
+  for (const FeatureAxis &A : FeatureAxes) {
+    if (A.Key == AxisKey::Pool) {
+      EXPECT_EQ(axisValue(A.Id, EC.Vm), axisValue(A.Id, Plain)) << A.Name;
+    }
+  }
+  EXPECT_EQ(EC.UsePool, axisDefault(Axis::Pool) != 0);
+}
+
 TEST(ExecutorTest, PoolOffNeverRetainsVms) {
   ExecutorConfig EC;
   EC.UsePool = false;

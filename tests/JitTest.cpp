@@ -271,6 +271,7 @@ def main() -> int {
 }
 )";
   VmOptions O = jitOn(0);
+  O.Generational = true; // Not the process default under VIRGIL_VM_GC.
   O.NurseryBytes = 4 * 1024;
   VmResult R = differential(Source, O, "gc-deopt");
   if (!R.Jit.Available)

@@ -128,8 +128,10 @@ def main() -> int {
 
 TEST(MonoTest, RuntimeCastsDecidedStatically) {
   // After mono, print1<int>'s chain folds: only one branch remains
-  // (§3.3). Statically verified via cast counts.
+  // (§3.3). Statically verified via cast counts. Folding is SCCP's
+  // job, so the SSA mid-tier is pinned on.
   CompilerOptions Opt;
+  Opt.Opt.Ssa = true;
   auto P = compileOk(R"(
 def pInt(a: int) -> int { return 1; }
 def pBool(a: bool) -> int { return 2; }

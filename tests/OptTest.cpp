@@ -14,6 +14,14 @@ using namespace virgil::testing;
 
 namespace {
 
+/// Folding is SCCP's job, so the tests that assert it pin the SSA
+/// mid-tier on instead of following VIRGIL_OPT_SSA.
+CompilerOptions withSsa() {
+  CompilerOptions O;
+  O.Opt.Ssa = true;
+  return O;
+}
+
 const char *Print1Program = R"(
 var log = 0;
 def printInt(a: int) { log = log * 10 + 1; }
@@ -35,7 +43,7 @@ def main() -> int {
 TEST(OptTest, AdhocChainFoldsCompletely) {
   // "The type queries and casts in each version can be decided
   // statically, the chain of if statements will be folded away."
-  auto P = compileOk(Print1Program);
+  auto P = compileOk(Print1Program, withSsa());
   EXPECT_EQ(P->stats().MonoIr.NumCasts, 0u)
       << "all queries/casts decided statically after specialization";
   expectResult(Print1Program, 123);
@@ -51,7 +59,8 @@ TEST(OptTest, AdhocChainKeepsBehaviourWithoutOpt) {
 TEST(OptTest, ConstantsFold) {
   auto P = compileOk(R"(
 def main() -> int { return 6 * 7 + (10 - 10); }
-)");
+)",
+                     withSsa());
   IrStats S = P->stats().MonoIr;
   EXPECT_EQ(S.PerOpcode.count(Opcode::IntMul), 0u);
   expectResult("def main() -> int { return 6 * 7 + (10 - 10); }", 42);
@@ -63,7 +72,8 @@ def main() -> int {
   if (true) return 1;
   return 2;
 }
-)");
+)",
+                     withSsa());
   IrStats S = P->stats().MonoIr;
   EXPECT_EQ(S.PerOpcode.count(Opcode::CondBr), 0u);
 }
@@ -93,8 +103,6 @@ def main() -> int {
 
 TEST(OptTest, NoDevirtualizationWithOverride) {
   CompilerOptions OnlyDevirt;
-  OnlyDevirt.Opt.Fold = false;
-  OnlyDevirt.Opt.CopyProp = false;
   OnlyDevirt.Opt.Dce = false;
   OnlyDevirt.Opt.Inline = false;
   auto P = compileOk(R"(
@@ -154,7 +162,8 @@ def main() -> int {
   }
   return 9;
 }
-)");
+)",
+                     withSsa());
   EXPECT_GT(P->stats().OptAfterMono.BlocksRemoved +
                 P->stats().OptAfterMono.BranchesFolded,
             0u);

@@ -51,7 +51,9 @@ TEST_P(AdhocCasesTest, ChainEqualsDirectAndFolds) {
       runAllStrategies(corpus::genAdhocWorkload(Cases, 50, true));
   ASSERT_FALSE(Chain.Trapped);
   EXPECT_EQ(Chain.Result, Direct.Result);
-  auto P = compileOk(corpus::genAdhocWorkload(Cases, 50, false));
+  CompilerOptions Ssa; // Folding is SCCP's job.
+  Ssa.Opt.Ssa = true;
+  auto P = compileOk(corpus::genAdhocWorkload(Cases, 50, false), Ssa);
   EXPECT_EQ(P->stats().MonoIr.NumCasts, 0u)
       << "every query folds after specialization (§3.3)";
 }

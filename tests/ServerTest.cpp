@@ -460,7 +460,9 @@ TEST(ServerTest, ExecuteReportsGcActivity) {
       "  }\n"
       "  return sum;\n"
       "}\n";
-  TestServer TS;
+  ServerConfig Config;
+  Config.Exec.Vm.Generational = true; // virgild follows VIRGIL_VM_GC.
+  TestServer TS(Config);
   Client C = TS.client();
   std::string Err;
   ExecuteResponse Resp;
@@ -557,7 +559,7 @@ TEST(ServerTest, QuotaRequestsDoNotStarveNeighbors) {
   // The spin loop tiers into the JIT and can burn the default MaxFuel
   // cap (2^30) inside the 500ms deadline; raise the cap so the
   // deadline stays the binding quota regardless of execution tier.
-  Config.MaxFuel = ~0ull;
+  Config.Exec.MaxFuel = ~0ull;
   TestServer TS(Config);
   std::string Err1, Err2, Err3;
   ExecuteResponse R1, R2, R3;
@@ -933,7 +935,7 @@ TEST(ShardedServerTest, PooledAndUnpooledServersAgreeOnTheWire) {
   ServerConfig Pooled;
   Pooled.IoThreads = 2;
   ServerConfig Unpooled;
-  Unpooled.VmPool = false;
+  Unpooled.Exec.UsePool = false;
   TestServer TP(Pooled), TU(Unpooled);
   Client CP = TP.client(), CU = TU.client();
   std::string Err;

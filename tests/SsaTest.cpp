@@ -161,7 +161,7 @@ def main() -> int {
 TEST(SsaTest, SccpDecidesClassifyCastChain) {
   // Paper §3.3: after specialization "the type queries and casts in
   // each version can be decided statically, the chain of if statements
-  // will be folded away". SCCP subsumes ConstFold here: each
+  // will be folded away". SCCP does that folding: each
   // classify<T> specialization must lose every cast, query, and
   // conditional branch.
   const char *Src = R"(
@@ -189,8 +189,8 @@ def main() -> int {
 TEST(SsaTest, LoadElimAcrossDominatingFieldGet) {
   // Both arms of the diamond re-read fields a dominating block already
   // loaded; the dominance-scoped availability map must satisfy the
-  // re-reads (and the diamond keeps ConstFold-style straight-line CSE
-  // from being the thing that removes them).
+  // re-reads (and the diamond keeps straight-line CSE from being the
+  // thing that removes them).
   const char *Src = R"(
 class P {
   var x: int;
@@ -289,7 +289,7 @@ TEST(SsaTest, OracleInvisibility) {
   // diamond (the miscompile shape the visit-order proof guards),
   // loop-carried field traffic, and virtual dispatch.
   fuzz::OracleConfig Config;
-  Config.OptSsa = true;
+  Config.Axes = axisBit(Axis::Ssa);
   fuzz::DifferentialOracle Oracle(Config);
 
   fuzz::OracleReport R = Oracle.check(R"(
@@ -335,9 +335,9 @@ def main() -> int {
 }
 
 TEST(SsaTest, CacheKeyDistinguishesSsa) {
-  // Option bit 11: ssa-on and ssa-off artifacts must never collide in
-  // the bytecode cache (or the warm-VM pool, whose key embeds this
-  // one).
+  // The ssa axis enters the cache key: ssa-on and ssa-off artifacts
+  // must never collide in the bytecode cache (or the warm-VM pool,
+  // whose key embeds this one).
   const std::string Src = "def main() -> int { return 1; }\n";
   CompilerOptions A, B;
   A.Opt.Ssa = true;

@@ -220,6 +220,19 @@ else:
         print("FAIL: JIT tier is not 2x the interpreter on the E1 "
               "hot loop")
         sys.exit(1)
+# Folding gate (E10): with the SSA mid-tier off nothing folds, so the
+# '- folding' row must keep dynamic type tests. Zero would mean the row
+# no longer ablates folding (some other pass decides the queries), and
+# E10 would stop measuring what its label says.
+nf = cur.get("e10_ablation", {}).get("no_folding_residual_casts")
+if nf is None:
+    print("FAIL: e10_ablation no_folding_residual_casts missing")
+    sys.exit(1)
+print(f"perf gate: e10_ablation no_folding_residual_casts = {nf:.0f}, "
+      f"must be > 0")
+if nf <= 0:
+    print("FAIL: E10's '- folding' row decides every type test statically")
+    sys.exit(1)
 # SSA mid-tier gate (E19): retired VM instructions on the
 # field/classify workload, ssa-off / ssa-on. A same-process ratio of
 # two deterministic instruction counts, so it gates at the baseline
@@ -269,9 +282,8 @@ if jit_avail != 0:
         print("FAIL: ssa-on JIT run time regressed more than 30% vs "
               "ssa-off in the same run")
         sys.exit(1)
-# Opt wall-time: SCCP subsumes the dense ConstFold/CopyProp rounds,
-# so the whole-optimizer cost with the sandwich on must stay in the
-# same envelope as the dense pipeline it replaced. Wall-clock ms on a
+# Opt wall-time: the whole-optimizer cost with the sandwich on must
+# stay in an envelope of the optimizer without it. Wall-clock ms on a
 # shared runner is the noisiest thing this gate touches, so the slack
 # is 2x, not 30%; catching "SSA made the optimizer quadratic" is the
 # point, not ms-level jitter.
@@ -284,7 +296,7 @@ print(f"perf gate: e5_expansion ssa on/off opt ms = "
       f"{om_on:.2f}/{om_off:.2f}")
 if om_on > om_off * 2.0 and om_on - om_off > 20.0:
     print("FAIL: optimizer wall-time with the SSA mid-tier more than "
-          "doubled vs the dense pipeline")
+          "doubled vs the optimizer without it")
     sys.exit(1)
 print("perf gate: ok")
 EOF

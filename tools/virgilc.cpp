@@ -12,18 +12,11 @@
 ///   --dump-norm     print the normalized (optimized) IR
 ///   --stats         print pipeline statistics (including phase timings)
 ///   --no-opt        disable the optimizer
-///   --mono-share on|off  force specialization sharing (default: the
-///                   VIRGIL_MONO_SHARE environment setting, on)
-///   --opt-escape on|off  force escape analysis + scalar replacement
-///                   (default: the VIRGIL_OPT_ESCAPE setting, on)
-///   --opt-ssa on|off  force the SSA mid-tier: pruned-SSA construction,
-///                   SCCP, load/store elimination (default: the
-///                   VIRGIL_OPT_SSA setting, on)
 ///   --dump-ir=<pass>  print the IR after every run of the named
 ///                   optimizer pass (devirt, inline, ssa, sccp,
-///                   loadelim, ssa-out, fold, copyprop, dce, escape,
-///                   deadfields); ssa/sccp/loadelim dump in SSA form,
-///                   with phis visible
+///                   loadelim, ssa-out, dce, escape, deadfields);
+///                   ssa/sccp/loadelim dump in SSA form, with phis
+///                   visible
 ///   -e <source>     compile <source> text instead of a file
 ///
 /// `virgilc batch [options] <files...>` — compiles many programs
@@ -36,7 +29,6 @@
 ///   --run           also execute each compiled module on the VM
 ///   --stats         print aggregate per-phase compile timings
 ///   --no-opt        disable the optimizer
-///   --mono-share on|off  force specialization sharing
 ///
 /// Per-job status lines (with mono-expansion and sharing metrics on
 /// cache misses) are followed by an aggregate summary and a
@@ -60,37 +52,15 @@
 ///                    deep-generics, operator-values, cast-chains,
 ///                    loops
 ///   --verbose        log each divergence as it is found
-///   --vm-gc M        VM strategy heap mode: gen (default) | semi
-///   --vm-nursery-bytes N  VM strategy nursery size in bytes
-///   --vm-pool        add the "vm+pool" strategy: each program also
-///                    runs on a snapshot-reset reused VM, which must
-///                    match the fresh VM exactly (the warm-pool
-///                    invisibility contract)
-///   --vm-jit         add the "vm+jit" strategies: each program also
-///                    runs with the baseline JIT forced on at hotness
-///                    threshold 0 and at a mid threshold, and both
-///                    tiers must match the interpreter exactly —
-///                    result, output, trap diagnostics, and executed
-///                    instruction count
-///   --mono-share     add the "mono+share" strategy: each program is
-///                    recompiled with specialization sharing forced on
-///                    (baseline legs force it off) and the shared
-///                    pipeline's norm-interp/vm legs must agree (the
-///                    sharing invisibility contract)
-///   --opt-escape     add the "/escape" strategies: each program is
-///                    recompiled with escape analysis + scalar
-///                    replacement forced on (baseline legs force it
-///                    off) and the escape pipeline's norm-interp/vm
-///                    legs must agree (the scalar-replacement
-///                    invisibility contract)
-///   --opt-ssa        add the "/ssa" strategies: each program is
-///                    recompiled with the SSA mid-tier forced on
-///                    (baseline legs force it off, strict-SSA
-///                    verification armed) and the SSA pipeline's
-///                    norm-interp/vm legs must agree (the SSA
-///                    sandwich's invisibility contract)
 ///
 /// Fuzz exit codes: 0 all seeds agree, 1 divergences found, 2 usage.
+///
+/// Every mode also takes the engine feature flags that the FeatureAxes
+/// table (core/FeatureAxis.h) lists for it, e.g. `--mono-share on|off`
+/// or `--vm-jit on|off|auto`; the table generates their parsing and
+/// usage text. In fuzz mode an axis with oracle legs is a bare switch
+/// that adds them (`--opt-ssa` adds the "/ssa" legs; see
+/// fuzz::OracleConfig::Axes).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,22 +83,20 @@ static void usage() {
   std::fprintf(stderr,
                "usage: virgilc [--interp] [--dump-ast|--dump-ir|"
                "--dump-mono|--dump-norm] [--stats] [--vm-stats] "
-               "[--vm-dispatch auto|switch|threaded] "
-               "[--vm-gc gen|semi] [--vm-nursery-bytes N] [--no-opt] "
-               "[--mono-share on|off] [--opt-escape on|off] "
-               "[--opt-ssa on|off] [--dump-ir=<pass>] "
-               "(file.v3 | -e <source>)\n"
+               "[--vm-dispatch auto|switch|threaded] [--no-opt] "
+               "[--dump-ir=<pass>]\n"
+               "               %s\n"
+               "               (file.v3 | -e <source>)\n"
                "       virgilc batch [--jobs N] [--cache-dir D] "
-               "[--cache-max-bytes N] [--run] [--stats] [--no-opt] "
-               "[--mono-share on|off] [--opt-escape on|off] "
-               "[--opt-ssa on|off] <files...>\n"
+               "[--cache-max-bytes N] [--run] [--stats] [--no-opt]\n"
+               "                     %s <files...>\n"
                "       virgilc fuzz [--seeds N] [--start-seed K] "
                "[--time-budget S] [--out-dir D] [--fuel N]\n"
                "                    [--no-reduce] [--no-opt-compare] "
                "[--gen-off FEATURE] [--verbose]\n"
-               "                    [--vm-gc gen|semi] "
-               "[--vm-nursery-bytes N] [--vm-pool] [--vm-jit] "
-               "[--mono-share] [--opt-escape] [--opt-ssa]\n");
+               "                    %s\n",
+               axisUsage(ModeSingle).c_str(), axisUsage(ModeBatch).c_str(),
+               axisUsage(ModeFuzz).c_str());
 }
 
 static bool readWholeFile(const std::string &Path, std::string &Out) {
@@ -139,141 +107,6 @@ static bool readWholeFile(const std::string &Path, std::string &Out) {
   Buf << In.rdbuf();
   Out = Buf.str();
   return true;
-}
-
-/// Parses one --vm-gc / --vm-nursery-bytes flag pair into \p Opts.
-/// Returns 1 if consumed, 0 if not a GC flag, -1 on a bad value.
-static int parseVmGcFlag(const std::string &Arg, int &I, int Argc,
-                         char **Argv, VmOptions &Opts) {
-  if (Arg == "--vm-gc" && I + 1 < Argc) {
-    std::string Mode = Argv[++I];
-    if (Mode == "gen" || Mode == "generational")
-      Opts.Generational = true;
-    else if (Mode == "semi" || Mode == "semispace")
-      Opts.Generational = false;
-    else {
-      std::fprintf(stderr, "virgilc: unknown GC mode '%s'\n", Mode.c_str());
-      return -1;
-    }
-    return 1;
-  }
-  if (Arg == "--vm-nursery-bytes" && I + 1 < Argc) {
-    long long N = std::atoll(Argv[++I]);
-    if (N < 128 || N > (1ll << 30)) {
-      std::fprintf(stderr,
-                   "virgilc: --vm-nursery-bytes must be in [128, 2^30]\n");
-      return -1;
-    }
-    Opts.NurseryBytes = (uint32_t)N;
-    return 1;
-  }
-  return 0;
-}
-
-/// Parses one --vm-jit / --jit-threshold flag pair into \p Opts
-/// (overriding the VIRGIL_VM_JIT / VIRGIL_VM_JIT_THRESHOLD process
-/// defaults). Returns 1 if consumed, 0 if not a JIT flag, -1 on a bad
-/// value.
-static int parseVmJitFlag(const std::string &Arg, int &I, int Argc,
-                          char **Argv, VmOptions &Opts) {
-  if (Arg == "--vm-jit" && I + 1 < Argc) {
-    std::string Mode = Argv[++I];
-    if (Mode == "on")
-      Opts.Jit = VmOptions::JitMode::On;
-    else if (Mode == "off")
-      Opts.Jit = VmOptions::JitMode::Off;
-    else if (Mode == "auto")
-      Opts.Jit = VmOptions::JitMode::Auto;
-    else {
-      std::fprintf(stderr, "virgilc: --vm-jit needs on|off|auto, got '%s'\n",
-                   Mode.c_str());
-      return -1;
-    }
-    return 1;
-  }
-  if (Arg == "--jit-threshold" && I + 1 < Argc) {
-    long long N = std::atoll(Argv[++I]);
-    if (N < 0 || N >= 0xFFFFFFFFll) {
-      std::fprintf(stderr,
-                   "virgilc: --jit-threshold must be in [0, 2^32-2]\n");
-      return -1;
-    }
-    Opts.JitThreshold = (uint32_t)N;
-    return 1;
-  }
-  return 0;
-}
-
-/// Parses `--mono-share on|off` into \p Share (overriding the
-/// VIRGIL_MONO_SHARE process default). Returns 1 if consumed, 0 if not
-/// this flag, -1 on a bad value.
-static int parseMonoShareFlag(const std::string &Arg, int &I, int Argc,
-                              char **Argv, bool &Share) {
-  if (Arg != "--mono-share")
-    return 0;
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "virgilc: --mono-share needs on|off\n");
-    return -1;
-  }
-  std::string Mode = Argv[++I];
-  if (Mode == "on")
-    Share = true;
-  else if (Mode == "off")
-    Share = false;
-  else {
-    std::fprintf(stderr, "virgilc: --mono-share needs on|off, got '%s'\n",
-                 Mode.c_str());
-    return -1;
-  }
-  return 1;
-}
-
-/// Parses `--opt-escape on|off` into \p Escape (overriding the
-/// VIRGIL_OPT_ESCAPE process default). Returns 1 if consumed, 0 if not
-/// this flag, -1 on a bad value.
-static int parseOptEscapeFlag(const std::string &Arg, int &I, int Argc,
-                              char **Argv, bool &Escape) {
-  if (Arg != "--opt-escape")
-    return 0;
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "virgilc: --opt-escape needs on|off\n");
-    return -1;
-  }
-  std::string Mode = Argv[++I];
-  if (Mode == "on")
-    Escape = true;
-  else if (Mode == "off")
-    Escape = false;
-  else {
-    std::fprintf(stderr, "virgilc: --opt-escape needs on|off, got '%s'\n",
-                 Mode.c_str());
-    return -1;
-  }
-  return 1;
-}
-
-/// Parses `--opt-ssa on|off` into \p Ssa (overriding the
-/// VIRGIL_OPT_SSA process default). Returns 1 if consumed, 0 if not
-/// this flag, -1 on a bad value.
-static int parseOptSsaFlag(const std::string &Arg, int &I, int Argc,
-                           char **Argv, bool &Ssa) {
-  if (Arg != "--opt-ssa")
-    return 0;
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "virgilc: --opt-ssa needs on|off\n");
-    return -1;
-  }
-  std::string Mode = Argv[++I];
-  if (Mode == "on")
-    Ssa = true;
-  else if (Mode == "off")
-    Ssa = false;
-  else {
-    std::fprintf(stderr, "virgilc: --opt-ssa needs on|off, got '%s'\n",
-                 Mode.c_str());
-    return -1;
-  }
-  return 1;
 }
 
 //===----------------------------------------------------------------------===//
@@ -328,18 +161,9 @@ static int runBatch(int Argc, char **Argv) {
       ShowStats = true;
     } else if (Arg == "--no-opt") {
       Options.Compile.Optimize = false;
-    } else if (int K = parseMonoShareFlag(
-                   Arg, I, Argc, Argv,
-                   Options.Compile.ShareSpecializations)) {
+    } else if (int K = parseAxisFlag(ModeBatch, "virgilc", I, Argc, Argv,
+                                     {&Options.Compile})) {
       if (K < 0)
-        return BatchUsage;
-    } else if (int K2 = parseOptEscapeFlag(Arg, I, Argc, Argv,
-                                           Options.Compile.Opt.Escape)) {
-      if (K2 < 0)
-        return BatchUsage;
-    } else if (int K3 = parseOptSsaFlag(Arg, I, Argc, Argv,
-                                        Options.Compile.Opt.Ssa)) {
-      if (K3 < 0)
         return BatchUsage;
     } else if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr, "virgilc: unknown batch option '%s'\n",
@@ -444,8 +268,8 @@ static int runBatch(int Argc, char **Argv) {
               "\"stores_killed\":%zu,\"null_checks_removed\":%zu,"
               "\"pass_runs_skipped\":%zu,"
               "\"pass_ms\":{\"devirt\":%.3f,\"inline\":%.3f,"
-              "\"fold\":%.3f,\"copyprop\":%.3f,\"dce\":%.3f,"
-              "\"escape\":%.3f,\"deadfields\":%.3f,\"ssa\":%.3f},"
+              "\"dce\":%.3f,\"escape\":%.3f,\"deadfields\":%.3f,"
+              "\"ssa\":%.3f},"
               "\"wall_ms\":%.2f}\n",
               Options.Jobs, S.Jobs, S.Succeeded, S.Failed, S.Hits,
               S.Misses, S.hitRatePct(),
@@ -459,8 +283,7 @@ static int runBatch(int Argc, char **Argv) {
               S.Opt.PhisPlaced, S.Opt.SccpFolded, S.Opt.LoadsEliminated,
               S.Opt.StoresKilled, S.Opt.NullChecksRemoved,
               S.Opt.PassRunsSkipped, S.Phases.PassDevirtMs,
-              S.Phases.PassInlineMs, S.Phases.PassFoldMs,
-              S.Phases.PassCopyPropMs, S.Phases.PassDceMs,
+              S.Phases.PassInlineMs, S.Phases.PassDceMs,
               S.Phases.PassEscapeMs, S.Phases.PassDeadFieldsMs,
               S.Phases.PassSsaMs, S.WallMs);
   if (AnyCompileFailed)
@@ -520,16 +343,6 @@ static int runFuzz(int Argc, char **Argv) {
       Options.Reduce = false;
     } else if (Arg == "--no-opt-compare") {
       Options.Oracle.CompareNoOpt = false;
-    } else if (Arg == "--vm-pool") {
-      Options.Oracle.VmPooled = true;
-    } else if (Arg == "--vm-jit") {
-      Options.Oracle.VmJit = true;
-    } else if (Arg == "--mono-share") {
-      Options.Oracle.MonoShare = true;
-    } else if (Arg == "--opt-escape") {
-      Options.Oracle.OptEscape = true;
-    } else if (Arg == "--opt-ssa") {
-      Options.Oracle.OptSsa = true;
     } else if (Arg == "--gen-off" && I + 1 < Argc) {
       std::string Feature = Argv[++I];
       if (!setGenFeature(Options.Gen, Feature, false)) {
@@ -539,7 +352,9 @@ static int runFuzz(int Argc, char **Argv) {
       }
     } else if (Arg == "--verbose") {
       Options.Verbose = true;
-    } else if (int K = parseVmGcFlag(Arg, I, Argc, Argv, Options.Oracle.Vm)) {
+    } else if (int K = parseAxisFlag(ModeFuzz, "virgilc", I, Argc, Argv,
+                                     {nullptr, &Options.Oracle.Vm, nullptr,
+                                      &Options.Oracle.Axes})) {
       if (K < 0)
         return 2;
     } else {
@@ -617,28 +432,19 @@ int main(int Argc, char **Argv) {
                      Mode.c_str());
         return 2;
       }
-    } else if (int K = parseVmGcFlag(Arg, I, Argc, Argv, VmOpts)) {
+    } else if (int K = parseAxisFlag(ModeSingle, "virgilc", I, Argc, Argv,
+                                     {&Options, &VmOpts})) {
       if (K < 0)
-        return 2;
-    } else if (int KJ = parseVmJitFlag(Arg, I, Argc, Argv, VmOpts)) {
-      if (KJ < 0)
-        return 2;
-    } else if (int K2 = parseMonoShareFlag(Arg, I, Argc, Argv,
-                                           Options.ShareSpecializations)) {
-      if (K2 < 0)
-        return 2;
-    } else if (int K3 = parseOptEscapeFlag(Arg, I, Argc, Argv,
-                                           Options.Opt.Escape)) {
-      if (K3 < 0)
-        return 2;
-    } else if (int K4 = parseOptSsaFlag(Arg, I, Argc, Argv,
-                                        Options.Opt.Ssa)) {
-      if (K4 < 0)
         return 2;
     } else if (Arg.rfind("--dump-ir=", 0) == 0) {
       Options.DumpIrAfter = Arg.substr(10);
-      if (Options.DumpIrAfter.empty()) {
-        std::fprintf(stderr, "virgilc: --dump-ir= needs a pass name\n");
+      bool Known = false;
+      for (const char *Pass : OptPassNames)
+        Known |= Options.DumpIrAfter == Pass;
+      if (!Known) {
+        std::fprintf(stderr, "virgilc: --dump-ir= needs a pass name, one "
+                             "of devirt, inline, ssa, sccp, loadelim, "
+                             "ssa-out, dce, escape, deadfields\n");
         return 2;
       }
     } else if (Arg == "--no-opt")

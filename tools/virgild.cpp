@@ -22,32 +22,15 @@
 ///   --heap-max-bytes N   default per-request heap quota (caps the
 ///                        request VM's nursery + old space combined)
 ///   --deadline-ms N      default per-request wall-clock budget
-///   --vm-gc M            request heap mode: gen (default) | semi
-///   --vm-nursery-bytes N nursery size for generational request heaps
-///   --vm-pool on|off     warm-VM pool: repeat sources reuse a reset
-///                        VM instead of recompiling + re-preparing
-///                        (default on)
 ///   --vm-pool-size N     warm VMs retained per worker (default 8)
-///   --vm-jit M           request-VM JIT tier: on | off | auto
-///                        (default: the VIRGIL_VM_JIT environment
-///                        setting, auto); totals appear in the STATS
-///                        "jit" section
-///   --jit-threshold N    calls + backward branches before a function
-///                        tiers up (default: VIRGIL_VM_JIT_THRESHOLD,
-///                        64; 0 compiles on first execution)
 ///   --no-opt             compile without the optimizer
-///   --mono-share on|off  specialization sharing (default: the
-///                        VIRGIL_MONO_SHARE environment setting, on);
-///                        totals appear in the STATS "mono" section
-///   --opt-escape on|off  escape analysis + scalar replacement
-///                        (default: the VIRGIL_OPT_ESCAPE environment
-///                        setting, on); totals appear in the STATS
-///                        "opt" section
-///   --opt-ssa on|off     SSA mid-tier: pruned-SSA construction, SCCP,
-///                        load/store elimination (default: the
-///                        VIRGIL_OPT_SSA environment setting, on);
-///                        totals appear in the STATS "opt" section
 ///   --stats-on-exit      print the final STATS JSON to stdout on drain
+///
+/// It also takes every engine feature flag (`--mono-share on|off`,
+/// `--vm-jit on|off|auto`, `--vm-pool on|off`, ...). The FeatureAxes
+/// table (core/FeatureAxis.h) lists them with their defaults and
+/// generates their parsing and usage text; STATS reports the resulting
+/// totals in its "mono", "opt", "jit" and "exec" sections.
 ///
 /// Exit codes: 0 clean drain, 1 startup failure, 2 usage error.
 ///
@@ -81,12 +64,9 @@ static void usage() {
       "               [--io-threads N] [--queue-cap N] [--cache-dir D]\n"
       "               [--cache-max-bytes N]\n"
       "               [--fuel N] [--heap-max-bytes N] [--deadline-ms N]\n"
-      "               [--vm-gc gen|semi] [--vm-nursery-bytes N]\n"
-      "               [--vm-pool on|off] [--vm-pool-size N]\n"
-      "               [--vm-jit on|off|auto] [--jit-threshold N]\n"
-      "               [--no-opt] [--mono-share on|off] "
-      "[--opt-escape on|off] [--opt-ssa on|off]\n"
-      "               [--stats-on-exit]\n");
+      "               [--vm-pool-size N] [--no-opt] [--stats-on-exit]\n"
+      "               %s\n",
+      axisUsage(ModeDaemon).c_str());
 }
 
 static bool parseU64(const char *S, uint64_t *Out) {
@@ -135,22 +115,12 @@ int main(int Argc, char **Argv) {
       }
       Config.IoThreads =
           N == 0 ? (int)std::thread::hardware_concurrency() : (int)N;
-    } else if (Arg == "--vm-pool" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "on") {
-        Config.VmPool = true;
-      } else if (Mode == "off") {
-        Config.VmPool = false;
-      } else {
-        std::fprintf(stderr, "virgild: --vm-pool is on|off\n");
-        return 2;
-      }
     } else if (Arg == "--vm-pool-size" && I + 1 < Argc) {
       if (!parseU64(Argv[++I], &N) || N == 0 || N > 4096) {
         std::fprintf(stderr, "virgild: bad --vm-pool-size\n");
         return 2;
       }
-      Config.VmPoolSize = (int)N;
+      Config.Exec.PoolSize = (size_t)N;
     } else if (Arg == "--queue-cap" && I + 1 < Argc) {
       if (!parseU64(Argv[++I], &N) || N == 0) {
         std::fprintf(stderr, "virgild: bad --queue-cap\n");
@@ -165,12 +135,12 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--fuel" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &Config.DefaultFuel)) {
+      if (!parseU64(Argv[++I], &Config.Exec.DefaultFuel)) {
         std::fprintf(stderr, "virgild: bad --fuel\n");
         return 2;
       }
     } else if (Arg == "--heap-max-bytes" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &Config.DefaultHeapBytes)) {
+      if (!parseU64(Argv[++I], &Config.Exec.DefaultHeapBytes)) {
         std::fprintf(stderr, "virgild: bad --heap-max-bytes\n");
         return 2;
       }
@@ -179,74 +149,14 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "virgild: bad --deadline-ms\n");
         return 2;
       }
-      Config.DefaultDeadlineMs = (uint32_t)N;
-    } else if (Arg == "--vm-gc" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "gen" || Mode == "generational") {
-        Config.VmGenerational = true;
-      } else if (Mode == "semi" || Mode == "semispace") {
-        Config.VmGenerational = false;
-      } else {
-        std::fprintf(stderr, "virgild: unknown --vm-gc mode '%s'\n",
-                     Mode.c_str());
-        return 2;
-      }
-    } else if (Arg == "--vm-nursery-bytes" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &N) || N < 128 || N > (1ull << 30)) {
-        std::fprintf(stderr, "virgild: bad --vm-nursery-bytes\n");
-        return 2;
-      }
-      Config.VmNurseryBytes = (uint32_t)N;
-    } else if (Arg == "--vm-jit" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "on") {
-        Config.VmJit = VmOptions::JitMode::On;
-      } else if (Mode == "off") {
-        Config.VmJit = VmOptions::JitMode::Off;
-      } else if (Mode == "auto") {
-        Config.VmJit = VmOptions::JitMode::Auto;
-      } else {
-        std::fprintf(stderr, "virgild: --vm-jit is on|off|auto\n");
-        return 2;
-      }
-    } else if (Arg == "--jit-threshold" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &N) || N >= 0xFFFFFFFFull) {
-        std::fprintf(stderr, "virgild: bad --jit-threshold\n");
-        return 2;
-      }
-      Config.VmJitThreshold = (uint32_t)N;
+      Config.Exec.DefaultDeadlineMs = (uint32_t)N;
     } else if (Arg == "--no-opt") {
       Config.Compile.Optimize = false;
-    } else if (Arg == "--mono-share" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "on") {
-        Config.Compile.ShareSpecializations = true;
-      } else if (Mode == "off") {
-        Config.Compile.ShareSpecializations = false;
-      } else {
-        std::fprintf(stderr, "virgild: --mono-share is on|off\n");
+    } else if (int K = parseAxisFlag(ModeDaemon, "virgild", I, Argc, Argv,
+                                     {&Config.Compile, &Config.Exec.Vm,
+                                      &Config.Exec.UsePool})) {
+      if (K < 0)
         return 2;
-      }
-    } else if (Arg == "--opt-escape" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "on") {
-        Config.Compile.Opt.Escape = true;
-      } else if (Mode == "off") {
-        Config.Compile.Opt.Escape = false;
-      } else {
-        std::fprintf(stderr, "virgild: --opt-escape is on|off\n");
-        return 2;
-      }
-    } else if (Arg == "--opt-ssa" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "on") {
-        Config.Compile.Opt.Ssa = true;
-      } else if (Mode == "off") {
-        Config.Compile.Opt.Ssa = false;
-      } else {
-        std::fprintf(stderr, "virgild: --opt-ssa is on|off\n");
-        return 2;
-      }
     } else if (Arg == "--stats-on-exit") {
       StatsOnExit = true;
     } else {
@@ -290,7 +200,7 @@ int main(int Argc, char **Argv) {
                Config.Workers < Config.IoThreads ? Config.IoThreads
                                                  : Config.Workers,
                Config.QueueCap,
-               Config.VmPool ? "on" : "off",
+               Config.Exec.UsePool ? "on" : "off",
                Config.CacheDir.empty() ? "off"
                                        : Config.CacheDir.c_str());
 
