@@ -11,6 +11,14 @@
 using namespace virgil;
 using namespace virgil::testing;
 
+namespace virgil {
+namespace corpus {
+// Names the program in test listings; gtest's default byte dump would
+// put the pointer fields, which vary from run to run, into each test's ID.
+void PrintTo(const CorpusProgram &P, std::ostream *OS) { *OS << P.Name; }
+} // namespace corpus
+} // namespace virgil
+
 namespace {
 
 class CorpusTest : public ::testing::TestWithParam<corpus::CorpusProgram> {};
