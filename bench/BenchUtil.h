@@ -12,6 +12,7 @@
 #define VIRGIL_BENCH_BENCHUTIL_H
 
 #include "core/Compiler.h"
+#include "core/FeatureAxis.h"
 
 #include <chrono>
 #include <cstdio>
@@ -25,8 +26,30 @@
 namespace virgil {
 namespace bench {
 
-inline std::unique_ptr<Program> compileOrDie(const std::string &Source,
-                                             CompilerOptions Options = {}) {
+/// Compiler options with every compile-side FeatureAxes row at its
+/// table default, whatever the VIRGIL_* environment says: a labelled
+/// row ("full optimizer", "ssa off") measures the configuration it
+/// names. Rows start from here and set only what their label changes.
+inline CompilerOptions tableOptions() {
+  CompilerOptions O;
+  for (const FeatureAxis &A : FeatureAxes)
+    if (A.Key == AxisKey::Cache)
+      setAxisValue(A.Id, O, A.Default);
+  return O;
+}
+
+/// The same for the VM-side rows (heap, nursery, JIT).
+inline VmOptions tableVmOptions() {
+  VmOptions O;
+  for (const FeatureAxis &A : FeatureAxes)
+    if (A.Key == AxisKey::Pool)
+      setAxisValue(A.Id, O, A.Default);
+  return O;
+}
+
+inline std::unique_ptr<Program>
+compileOrDie(const std::string &Source,
+             CompilerOptions Options = tableOptions()) {
   Compiler C(Options);
   std::string Error;
   auto P = C.compile("bench", Source, &Error);
@@ -138,7 +161,7 @@ struct VmThroughput {
 /// heavy scheduling noise; the fastest round is the least-perturbed
 /// estimate of the engine itself.
 inline VmThroughput measureVmThroughput(Program &P, int Iters, int Rounds,
-                                        VmOptions Opts = VmOptions()) {
+                                        VmOptions Opts = tableVmOptions()) {
   VmThroughput Best;
   double BestSec = 1e100;
   for (int Round = 0; Round != Rounds; ++Round) {

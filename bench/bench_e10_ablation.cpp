@@ -28,10 +28,10 @@ struct Config {
 
 double timeVm(Program &P, int Runs) {
   // Warm up.
-  dieIfTrapped(P.runVm().Trapped, "", "ablation");
+  dieIfTrapped(P.runVm(tableVmOptions()).Trapped, "", "ablation");
   auto Start = std::chrono::steady_clock::now();
   for (int I = 0; I != Runs; ++I) {
-    VmResult R = P.runVm();
+    VmResult R = P.runVm(tableVmOptions());
     dieIfTrapped(R.Trapped, R.TrapMessage, "ablation");
   }
   auto End = std::chrono::steady_clock::now();
@@ -53,30 +53,30 @@ int main(int argc, char **argv) {
                                                 /*Direct=*/false);
 
   std::vector<Config> Configs;
-  Configs.push_back({"full optimizer", CompilerOptions()});
+  Configs.push_back({"full optimizer", tableOptions()});
   {
     // Folding is SCCP's job, inside the SSA mid-tier.
-    CompilerOptions O;
+    CompilerOptions O = tableOptions();
     O.Opt.Ssa = false;
     Configs.push_back({"- folding", O});
   }
   {
-    CompilerOptions O;
+    CompilerOptions O = tableOptions();
     O.Opt.Inline = false;
     Configs.push_back({"- inlining", O});
   }
   {
-    CompilerOptions O;
+    CompilerOptions O = tableOptions();
     O.Opt.Dce = false;
     Configs.push_back({"- dce", O});
   }
   {
-    CompilerOptions O;
+    CompilerOptions O = tableOptions();
     O.Opt.Devirtualize = false;
     Configs.push_back({"- devirt", O});
   }
   {
-    CompilerOptions O;
+    CompilerOptions O = tableOptions();
     O.Optimize = false;
     Configs.push_back({"no optimizer", O});
   }

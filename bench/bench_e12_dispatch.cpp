@@ -38,7 +38,7 @@ struct Leg {
 /// baseline JIT at threshold 0 (every function compiled up front).
 VmOptions legOpts(VmOptions::Dispatch Mode, bool Fuse, bool Ic,
                   VmOptions::JitMode Jit) {
-  VmOptions O;
+  VmOptions O = tableVmOptions();
   O.Mode = Mode;
   O.Fuse = Fuse;
   O.InlineCache = Ic;
@@ -76,7 +76,7 @@ int main(int argc, char **argv) {
     std::printf("note: computed goto not compiled in; the threaded "
                 "legs fall back to switch dispatch.\n");
 
-  CompilerOptions NoOpt;
+  CompilerOptions NoOpt = tableOptions();
   NoOpt.Optimize = false;
   Workload Workloads[2];
   Workloads[0] = {"callconv",

@@ -67,7 +67,7 @@ BENCHMARK(BM_E1_NormInterp)->Unit(benchmark::kMillisecond);
 
 void BM_E1_Vm(benchmark::State &State) {
   Program &P = program();
-  VmOptions Interp;
+  VmOptions Interp = tableVmOptions();
   Interp.Jit = VmOptions::JitMode::Off; // interpreter-tier leg
   for (auto _ : State) {
     VmResult R = P.runVm(Interp);
@@ -80,7 +80,7 @@ BENCHMARK(BM_E1_Vm)->Unit(benchmark::kMillisecond);
 
 void BM_E1_VmJit(benchmark::State &State) {
   Program &P = program();
-  VmOptions Jit;
+  VmOptions Jit = tableVmOptions();
   Jit.Jit = VmOptions::JitMode::On;
   Jit.JitThreshold = 0; // compile everything before its first instruction
   for (auto _ : State) {
@@ -101,7 +101,7 @@ int main(int argc, char **argv) {
   Program &P = program();
   InterpResult Poly = P.interpret();
   InterpResult Norm = P.interpretNorm();
-  VmResult Vm = P.runVm();
+  VmResult Vm = P.runVm(tableVmOptions());
   std::printf("%-22s %14s %10s %10s\n", "strategy", "adapt-checks",
               "packs", "unpacks");
   std::printf("%-22s %14llu %10llu %10llu\n", "poly-interp (§4.1)",
@@ -123,7 +123,7 @@ int main(int argc, char **argv) {
   // instructions per wall second, best-of-N against machine noise.
   // Pinned to the interpreter tier so the number stays comparable to
   // the checked-in baseline; the JIT tier gets its own leg below.
-  VmOptions InterpOpts;
+  VmOptions InterpOpts = tableVmOptions();
   InterpOpts.Jit = VmOptions::JitMode::Off;
   VmThroughput T = measureVmThroughput(P, Opts.Quick ? 5 : 20,
                                        Opts.Quick ? 3 : 5, InterpOpts);
@@ -138,7 +138,7 @@ int main(int argc, char **argv) {
   // interpreter bit-for-bit; the acceptance gate requires >= 2x the
   // interpreter's Minstr/s on this workload (skipped on hosts that
   // cannot execute generated code).
-  VmOptions JitOpts;
+  VmOptions JitOpts = tableVmOptions();
   JitOpts.Jit = VmOptions::JitMode::On;
   JitOpts.JitThreshold = 0;
   VmResult JitProbe = P.runVm(JitOpts);

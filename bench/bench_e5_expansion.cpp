@@ -26,7 +26,7 @@ using namespace virgil;
 using namespace virgil::bench;
 
 static void reportProgram(const char *Name, const std::string &Source) {
-  CompilerOptions NoOpt;
+  CompilerOptions NoOpt = tableOptions();
   NoOpt.Optimize = false; // Measure pure specialization, not inlining.
   Compiler C(NoOpt);
   std::string Error;
@@ -93,7 +93,7 @@ def main() -> int { return 7; }
   for (int G : {1, 2, 4}) {
     for (int I : {2, 4, 8}) {
       std::string Src = corpus::genShareWorkload(G, I);
-      CompilerOptions Off, On;
+      CompilerOptions Off = tableOptions(), On = tableOptions();
       Off.ShareSpecializations = false;
       On.ShareSpecializations = true;
       auto POff = compileOrDie(Src, Off);
@@ -121,7 +121,7 @@ def main() -> int { return 7; }
   // sharing on and off (the merged bodies are observationally the
   // same code), so the expansion win is free at run time.
   std::string ShareHot = corpus::genShareWorkload(4, 8, 3000);
-  CompilerOptions ShOff, ShOn;
+  CompilerOptions ShOff = tableOptions(), ShOn = tableOptions();
   ShOff.ShareSpecializations = false;
   ShOn.ShareSpecializations = true;
   auto PShOff = compileOrDie(ShareHot, ShOff);
@@ -131,7 +131,7 @@ def main() -> int { return 7; }
   // All interpreter-tier legs pin the JIT off: E5's throughput
   // comparisons are same-engine ratios, and the checked-in baseline
   // numbers predate the JIT tier. The tier gets its own leg below.
-  VmOptions InterpOpts;
+  VmOptions InterpOpts = tableVmOptions();
   InterpOpts.Jit = VmOptions::JitMode::Off;
   VmThroughput TShOff =
       measureVmThroughput(*PShOff, ShIters, ShRounds, InterpOpts);
@@ -153,7 +153,7 @@ def main() -> int { return 7; }
   // code expansion, and the inliner collapses the expanded call
   // structure this experiment exists to exercise.
   std::string Hot = corpus::genExpansionWorkload(4, 8, 2000);
-  CompilerOptions NoOpt;
+  CompilerOptions NoOpt = tableOptions();
   NoOpt.Optimize = false;
   auto PNoOpt = compileOrDie(Hot, NoOpt);
   auto POpt = compileOrDie(Hot);
@@ -178,7 +178,7 @@ def main() -> int { return 7; }
   // template JIT is best at — every call site is monomorphic after
   // specialization, so inline caches never miss. Exact accounting
   // requires the same instrs/run as the interpreter leg above.
-  VmOptions JitOpts;
+  VmOptions JitOpts = tableVmOptions();
   JitOpts.Jit = VmOptions::JitMode::On;
   JitOpts.JitThreshold = 0;
   VmResult JitProbe = PNoOpt->runVm(JitOpts);
@@ -219,7 +219,7 @@ def main() -> int { return 7; }
   // check that the sandwich keeps the optimizer's total cost in an
   // envelope of the optimizer without it.
   std::string SsaSrc = corpus::genSsaWorkload(4, 2000);
-  CompilerOptions SsaOff, SsaOn;
+  CompilerOptions SsaOff = tableOptions(), SsaOn = tableOptions();
   SsaOff.Opt.Ssa = false;
   SsaOn.Opt.Ssa = true;
   auto PSsaOff = compileOrDie(SsaSrc, SsaOff);

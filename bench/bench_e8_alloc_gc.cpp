@@ -107,7 +107,7 @@ int main(int argc, char **argv) {
   // allocations from the VM pipeline by design (E17 below measures
   // exactly that), which would read as a false implicit-allocation
   // mismatch against the unoptimized interpreter oracle.
-  CompilerOptions AuditOptions;
+  CompilerOptions AuditOptions = tableOptions();
   AuditOptions.Opt.Escape = false;
   for (const auto &Prog : corpus::allPrograms()) {
     Compiler C(AuditOptions);
@@ -119,7 +119,7 @@ int main(int argc, char **argv) {
       continue;
     }
     InterpResult I = P->interpret();
-    VmResult V = P->runVm();
+    VmResult V = P->runVm(tableVmOptions());
     if (I.Trapped || V.Trapped) {
       std::printf("%-24s (trapped)\n", Prog.Name);
       AllClean = false;
@@ -150,7 +150,7 @@ int main(int argc, char **argv) {
   uint64_t Gc1024 = 0, MaxLive1024 = 0;
   for (int Rounds : {16, 64, 256, 1024}) {
     auto P = compileOrDie(corpus::genGcWorkload(Rounds, 100));
-    VmResult R = P->runVm();
+    VmResult R = P->runVm(tableVmOptions());
     dieIfTrapped(R.Trapped, R.TrapMessage, "E8 gc");
     if (Rounds == 1024) {
       Gc1024 = R.Heap.Collections;
@@ -169,9 +169,9 @@ int main(int argc, char **argv) {
   int ChurnRounds = Opts.Quick ? 8000 : 60000;
   int Repeats = Opts.Quick ? 2 : 4;
   auto Churn = compileOrDie(genAllocChurn(ChurnRounds));
-  VmOptions GenOpts;
+  VmOptions GenOpts = tableVmOptions();
   GenOpts.Generational = true;
-  VmOptions SemiOpts;
+  VmOptions SemiOpts = tableVmOptions();
   SemiOpts.Generational = false;
   AllocSample Gen = measureAllocThroughput(*Churn, Repeats, GenOpts);
   AllocSample Semi = measureAllocThroughput(*Churn, Repeats, SemiOpts);
@@ -201,7 +201,7 @@ int main(int argc, char **argv) {
   int EscRounds = Opts.Quick ? 2000 : 20000;
   std::string EscSrc = corpus::genEscapeChurn(EscRounds, 8, 256);
   auto runEscape = [&](bool Escape) {
-    CompilerOptions CO;
+    CompilerOptions CO = tableOptions();
     CO.Opt.Escape = Escape;
     Compiler C(CO);
     std::string Error;
@@ -210,7 +210,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "E17 compile failed: %s\n", Error.c_str());
       std::exit(1);
     }
-    VmResult R = P->runVm();
+    VmResult R = P->runVm(tableVmOptions());
     dieIfTrapped(R.Trapped, R.TrapMessage, "E17 escape churn");
     return R;
   };

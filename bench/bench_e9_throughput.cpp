@@ -42,7 +42,7 @@ int main(int argc, char **argv) {
     size_t Lines = countLines(Source);
     // Warm up once (also validates the program).
     {
-      Compiler C;
+      Compiler C(tableOptions());
       std::string Error;
       auto P = C.compile("warmup", Source, &Error);
       if (!P) {
@@ -55,7 +55,7 @@ int main(int argc, char **argv) {
     auto Start = std::chrono::steady_clock::now();
     size_t NormInstrs = 0;
     for (int R = 0; R != Runs; ++R) {
-      Compiler C;
+      Compiler C(tableOptions());
       std::string Error;
       auto P = C.compile("bench", Source, &Error);
       if (!P)
@@ -91,13 +91,13 @@ int main(int argc, char **argv) {
                  .count() /
              5;
     };
-    CompilerOptions FrontOnly;
+    CompilerOptions FrontOnly = tableOptions();
     FrontOnly.StopAfterLower = true;
     double Front = timeIt(FrontOnly);
-    CompilerOptions NoOpt;
+    CompilerOptions NoOpt = tableOptions();
     NoOpt.Optimize = false;
     double NoOptMs = timeIt(NoOpt);
-    double Full = timeIt(CompilerOptions());
+    double Full = timeIt(tableOptions());
     std::printf("front-end (parse+sema+lower): %8.2f ms\n", Front);
     std::printf("+ mono + normalize + emit:    %8.2f ms\n",
                 NoOptMs - Front);

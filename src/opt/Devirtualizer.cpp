@@ -29,12 +29,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ir/PassScope.h"
 #include "opt/Escape.h"
 #include "opt/PassManager.h"
 #include "ssa/Ssa.h"
 #include "support/Casting.h"
 
-#include <map>
 #include <vector>
 
 using namespace virgil;
@@ -59,32 +59,49 @@ bool shapeMatches(const IrInstr *I, const IrFunction *Impl) {
          I->Dsts.size() == Impl->RetTypes.size();
 }
 
+bool hasVirtualCall(const IrFunction *F) {
+  for (const IrBlock *B : F->Blocks)
+    for (const IrInstr *I : B->Instrs)
+      if (I->Op == Opcode::CallVirtual)
+        return true;
+  return false;
+}
+
 size_t devirtFunction(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
                       const ssa::DomTree &DT, OptStats &Stats) {
   size_t Changes = 0;
-  // Single-definition map: Defs[r] is r's unique defining instruction
-  // plus its block and index, or absent when r has 0 or >1 defs (or is
-  // a parameter, which counts as an implicit definition).
+  // Single-definition table by register: DefCount[r] counts r's
+  // definitions (a parameter counts as an implicit one), and Defs[r]
+  // is its defining instruction plus its block position and index,
+  // meaningful when the count is 1.
   struct DefSite {
-    IrInstr *I;
-    IrBlock *B;
-    size_t Idx;
+    IrInstr *I = nullptr;
+    int Block = -1;
+    size_t Idx = 0;
   };
-  std::map<Reg, DefSite> Defs;
-  std::map<Reg, int> DefCount;
+  std::vector<DefSite> Defs(F->RegTypes.size());
+  std::vector<uint32_t> DefCount(F->RegTypes.size(), 0);
   for (Reg P = 0; P != F->NumParams; ++P)
     ++DefCount[P];
-  for (IrBlock *B : F->Blocks)
+  for (size_t BI = 0; BI != F->Blocks.size(); ++BI) {
+    IrBlock *B = F->Blocks[BI];
     for (size_t I = 0; I != B->Instrs.size(); ++I)
       for (Reg D : B->Instrs[I]->Dsts) {
         ++DefCount[D];
-        Defs[D] = {B->Instrs[I], B, I};
+        Defs[D] = {B->Instrs[I], (int)BI, I};
       }
+  }
 
-  // Null checks to splice in front of CHA-devirtualized calls.
-  std::map<IrInstr *, IrInstr *> CheckBefore;
+  // Null checks to splice in front of CHA-devirtualized calls, in scan
+  // order: (block position, index of the call, check).
+  struct Check {
+    size_t Block, Idx;
+    IrInstr *NC;
+  };
+  std::vector<Check> CheckBefore;
 
-  for (IrBlock *B : F->Blocks) {
+  for (size_t BI = 0; BI != F->Blocks.size(); ++BI) {
+    IrBlock *B = F->Blocks[BI];
     for (size_t Idx = 0; Idx != B->Instrs.size(); ++Idx) {
       IrInstr *I = B->Instrs[Idx];
       if (I->Op != Opcode::CallVirtual || I->Args.empty())
@@ -101,15 +118,13 @@ size_t devirtFunction(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
       // proves the receiver non-null: the one def always runs first,
       // which is why this form needs no null.check.
       Reg Recv = I->Args[0];
-      auto DC = DefCount.find(Recv);
-      auto DS = Defs.find(Recv);
+      const DefSite &DS = Defs[Recv];
       bool DefDominates =
-          DS != Defs.end() &&
-          (DS->second.B == B ? DS->second.Idx < Idx
-                             : DT.dominates(DS->second.B, B));
-      if (DC != DefCount.end() && DC->second == 1 && DS != Defs.end() &&
-          DS->second.I->Op == Opcode::NewObject && DefDominates) {
-        IrClass *Exact = CH.resolve(DS->second.I->TypeOperand);
+          DS.I && (DS.Block == (int)BI ? DS.Idx < Idx
+                                       : DT.dominates(DS.Block, (int)BI));
+      if (DefCount[Recv] == 1 && DS.I && DS.I->Op == Opcode::NewObject &&
+          DefDominates) {
+        IrClass *Exact = CH.resolve(DS.I->TypeOperand);
         if (Exact && (size_t)I->Index < Exact->VTable.size() &&
             Exact->VTable[I->Index] &&
             shapeMatches(I, Exact->VTable[I->Index])) {
@@ -136,7 +151,7 @@ size_t devirtFunction(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
       NC->Loc = I->Loc;
       NC->Args = {Recv};
       NC->Ty = F->RegTypes[Recv];
-      CheckBefore[I] = NC;
+      CheckBefore.push_back({BI, Idx, NC});
       makeDirect(I, Impl);
       ++Changes;
       ++Stats.CallsDevirtualized;
@@ -144,18 +159,19 @@ size_t devirtFunction(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
     }
   }
 
-  if (!CheckBefore.empty()) {
-    for (IrBlock *B : F->Blocks) {
-      std::vector<IrInstr *> Out;
-      Out.reserve(B->Instrs.size() + CheckBefore.size());
-      for (IrInstr *I : B->Instrs) {
-        auto It = CheckBefore.find(I);
-        if (It != CheckBefore.end())
-          Out.push_back(It->second);
-        Out.push_back(I);
-      }
-      B->Instrs = std::move(Out);
+  // Splice the checks in, rebuilding each block that has any once.
+  for (size_t C = 0; C != CheckBefore.size();) {
+    size_t BI = CheckBefore[C].Block;
+    IrBlock *B = F->Blocks[BI];
+    std::vector<IrInstr *> Out;
+    Out.reserve(B->Instrs.size() + CheckBefore.size() - C);
+    for (size_t Idx = 0; Idx != B->Instrs.size(); ++Idx) {
+      if (C != CheckBefore.size() && CheckBefore[C].Block == BI &&
+          CheckBefore[C].Idx == Idx)
+        Out.push_back(CheckBefore[C++].NC);
+      Out.push_back(B->Instrs[Idx]);
     }
+    B->Instrs = std::move(Out);
   }
   return Changes;
 }
@@ -163,7 +179,7 @@ size_t devirtFunction(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
 } // namespace
 
 size_t virgil::devirtualize(IrModule &M, OptStats &Stats,
-                            ssa::DominatorAnalysis *DomA) {
+                            ssa::DominatorAnalysis *DomA, PassScope *Scope) {
   // Direct calls created here carry no type arguments, so this pass is
   // only sound once monomorphization has erased them.
   if (!M.Monomorphized)
@@ -182,8 +198,14 @@ size_t virgil::devirtualize(IrModule &M, OptStats &Stats,
   ssa::DominatorAnalysis Local;
   ssa::DominatorAnalysis &DA = DomA ? *DomA : Local;
   size_t Changes = 0;
-  for (IrFunction *F : M.Functions)
-    if (!F->Blocks.empty())
-      Changes += devirtFunction(M, F, CH, DA.get(F), Stats);
+  for (size_t FI = 0; FI != M.Functions.size(); ++FI) {
+    IrFunction *F = M.Functions[FI];
+    if (F->Blocks.empty() || !visits(Scope, FI) || !hasVirtualCall(F))
+      continue;
+    size_t N = devirtFunction(M, F, CH, DA.get(F), Stats);
+    if (N)
+      markChanged(Scope, FI);
+    Changes += N;
+  }
   return Changes;
 }

@@ -36,6 +36,7 @@
 
 #include "opt/Escape.h"
 
+#include "ir/PassScope.h"
 #include "opt/PassManager.h"
 #include "ssa/Ssa.h"
 #include "support/Casting.h"
@@ -565,7 +566,8 @@ size_t scalarizeObjects(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
 //===----------------------------------------------------------------------===//
 
 size_t virgil::scalarReplaceAllocations(IrModule &M, OptStats &Stats,
-                                        ssa::DominatorAnalysis *DomA) {
+                                        ssa::DominatorAnalysis *DomA,
+                                        PassScope *Scope) {
   // Object layouts must be concrete and scalar-only (post-mono,
   // post-norm), and shared modules carry representative metadata the
   // rewrite must not consult — same discipline as the other passes.
@@ -577,12 +579,16 @@ size_t virgil::scalarReplaceAllocations(IrModule &M, OptStats &Stats,
   ssa::DominatorAnalysis Local;
   ssa::DominatorAnalysis &DA = DomA ? *DomA : Local;
   size_t Changes = 0;
-  for (IrFunction *F : M.Functions) {
-    if (F->Blocks.empty())
+  for (size_t FI = 0; FI != M.Functions.size(); ++FI) {
+    IrFunction *F = M.Functions[FI];
+    if (F->Blocks.empty() || !visits(Scope, FI))
       continue;
     const ssa::DomTree &DT = DA.get(F);
-    Changes += flattenClosures(M, F, CH, DT, Stats);
-    Changes += scalarizeObjects(M, F, CH, DT, Stats);
+    size_t N = flattenClosures(M, F, CH, DT, Stats);
+    N += scalarizeObjects(M, F, CH, DT, Stats);
+    if (N)
+      markChanged(Scope, FI);
+    Changes += N;
   }
   return Changes;
 }

@@ -40,6 +40,7 @@
 namespace virgil {
 
 struct OptStats;
+struct PassScope;
 
 namespace ssa {
 class DominatorAnalysis;
@@ -74,9 +75,11 @@ private:
 /// representative — callee metadata); returns the number of rewrites.
 /// When \p DomA is supplied the pass reads the shared memoized
 /// dominator trees instead of re-deriving per-function dominance (the
-/// rewrites here never change the CFG, so the trees stay valid).
+/// rewrites here never change the CFG, so the trees stay valid). With
+/// \p Scope it visits and reports functions as ir/PassScope.h says.
 size_t scalarReplaceAllocations(IrModule &M, OptStats &Stats,
-                                ssa::DominatorAnalysis *DomA = nullptr);
+                                ssa::DominatorAnalysis *DomA = nullptr,
+                                PassScope *Scope = nullptr);
 
 } // namespace virgil
 

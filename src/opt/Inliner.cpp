@@ -10,10 +10,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ir/PassScope.h"
 #include "opt/PassManager.h"
+#include "ssa/Ssa.h"
 
 #include <cassert>
-#include <map>
+#include <cstdint>
 
 using namespace virgil;
 
@@ -70,21 +72,26 @@ void inlineAt(IrModule &M, IrFunction *F, IrBlock *B, size_t Pos) {
     B->Instrs.push_back(Mv);
   }
 
-  // Clone G's blocks (pointer-keyed: ids may be stale after other
-  // passes).
-  std::map<IrBlock *, IrBlock *> BlockMap;
+  // Clone G's blocks, matched by position (block ids may be stale
+  // after other passes).
+  ssa::BlockIndex GIndex(G->Blocks);
+  std::vector<IrBlock *> Clones(G->Blocks.size());
+  auto cloneOf = [&](const IrBlock *GB) -> IrBlock * {
+    int I = GIndex(GB);
+    return I < 0 ? nullptr : Clones[(size_t)I];
+  };
   for (size_t I = 0; I != G->Blocks.size(); ++I) {
     auto *NB = M.Nodes.make<IrBlock>((uint32_t)F->Blocks.size());
     F->Blocks.push_back(NB);
-    BlockMap[G->Blocks[I]] = NB;
+    Clones[I] = NB;
   }
   for (size_t BI = 0; BI != G->Blocks.size(); ++BI) {
     IrBlock *GB = G->Blocks[BI];
-    IrBlock *NB = BlockMap[GB];
+    IrBlock *NB = Clones[BI];
     if (GB->Succ0)
-      NB->Succ0 = BlockMap[GB->Succ0];
+      NB->Succ0 = cloneOf(GB->Succ0);
     if (GB->Succ1)
-      NB->Succ1 = BlockMap[GB->Succ1];
+      NB->Succ1 = cloneOf(GB->Succ1);
     for (IrInstr *GI : GB->Instrs) {
       if (GI->Op == Opcode::Ret) {
         // Return values flow into the call's destinations.
@@ -117,13 +124,14 @@ void inlineAt(IrModule &M, IrFunction *F, IrBlock *B, size_t Pos) {
   auto *Jump = M.Nodes.make<IrInstr>();
   Jump->Op = Opcode::Br;
   B->Instrs.push_back(Jump);
-  B->Succ0 = BlockMap[G->Blocks[0]];
+  B->Succ0 = Clones[0];
   B->Succ1 = nullptr;
 }
 
 } // namespace
 
-size_t virgil::inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats) {
+size_t virgil::inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats,
+                           ssa::DominatorAnalysis *DomA, PassScope *Scope) {
   size_t Changes = 0;
   // Specialization sharing runs after the last optimizer round; a
   // shared module's register *types* are the representative's and may
@@ -132,22 +140,33 @@ size_t virgil::inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats) {
   if (M.Shared)
     return 0;
   // Budget sizes are memoized per round (one inlineCalls call = one
-  // round): recomputing from the current IR each round — instead of
-  // caching a pre-round size — means a callee shrunk by scalar
-  // replacement or DCE becomes inlinable as soon as it actually fits.
-  // Entries are invalidated when a function inlines something (its own
-  // size just changed).
-  std::map<const IrFunction *, size_t> Sizes;
+  // round), by function id: recomputing from the current IR each round
+  // — instead of caching a pre-round size — means a callee shrunk by
+  // scalar replacement or DCE becomes inlinable as soon as it actually
+  // fits. Entries are invalidated when a function inlines something
+  // (its own size just changed).
+  constexpr size_t Unknown = SIZE_MAX;
+  std::vector<size_t> Sizes(M.Functions.size(), Unknown);
   auto sizeOf = [&](const IrFunction *G) {
-    auto It = Sizes.find(G);
-    if (It != Sizes.end())
-      return It->second;
-    return Sizes.emplace(G, instrCount(G)).first->second;
+    if (G->id() >= Sizes.size())
+      return instrCount(G);
+    size_t &S = Sizes[G->id()];
+    if (S == Unknown)
+      S = instrCount(G);
+    return S;
   };
-  for (IrFunction *F : M.Functions) {
+  for (size_t FI = 0; FI != M.Functions.size(); ++FI) {
+    IrFunction *F = M.Functions[FI];
+    if (!visits(Scope, FI))
+      continue;
     // One inline per block scan; repeated pass-manager rounds pick up
     // the rest. Bounded to keep a single round linear-ish.
     size_t BudgetPerFunction = 32;
+    size_t Inlined = 0;
+    // A visit that inlines nothing scans every call: the callees it
+    // saw are what its decisions read besides F itself.
+    std::vector<const IrFunction *> *Seen =
+        Scope ? &Scope->calleesOf(FI) : nullptr;
     for (size_t BI = 0; BI != F->Blocks.size() && BudgetPerFunction; ++BI) {
       IrBlock *B = F->Blocks[BI];
       for (size_t Pos = 0; Pos != B->Instrs.size(); ++Pos) {
@@ -155,6 +174,8 @@ size_t virgil::inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats) {
         if (I->Op != Opcode::CallFunc || !I->Callee)
           continue;
         IrFunction *G = I->Callee;
+        if (Seen)
+          Seen->push_back(G);
         if (G == F || G->Blocks.empty())
           continue;
         if (!G->TypeParams.empty())
@@ -164,12 +185,20 @@ size_t virgil::inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats) {
         if (sizeOf(G) > InstrLimit || callsSelf(G))
           continue;
         inlineAt(M, F, B, Pos);
-        Sizes.erase(F);
-        ++Changes;
+        if (F->id() < Sizes.size())
+          Sizes[F->id()] = Unknown;
+        ++Inlined;
         ++Stats.CallsInlined;
         --BudgetPerFunction;
         break; // B's instruction list changed; move to the next block.
       }
+    }
+    if (Inlined) {
+      // Splicing callee blocks reshaped F's CFG.
+      if (DomA)
+        DomA->invalidate(F);
+      markChanged(Scope, FI);
+      Changes += Inlined;
     }
   }
   return Changes;

@@ -2,10 +2,12 @@
 
 #include "opt/PassManager.h"
 
+#include "ir/PassScope.h"
 #include "opt/Escape.h"
 #include "ssa/Ssa.h"
 
 #include <chrono>
+#include <vector>
 
 using namespace virgil;
 
@@ -42,26 +44,44 @@ OptStats virgil::optimizeModule(IrModule &M, const OptOptions &Options) {
   // One memoized dominator analysis serves the whole invocation:
   // Escape, the CHA devirtualizer, and the SSA sandwich consume the
   // same per-function trees instead of re-deriving dominators per
-  // pass. CFG-changing passes invalidate below; instruction-level
-  // rewrites don't disturb block-level dominance.
+  // pass. Each CFG-changing pass invalidates the trees of the functions
+  // it reshaped; instruction-level rewrites don't disturb block-level
+  // dominance.
   ssa::DominatorAnalysis DomA;
 
-  // Per-pass changed-bit scheduling: ModVersion counts module
-  // mutations; a pass is skipped when the module hasn't changed since
-  // it last ran (its quiet confirmation run is provably quiet again).
-  // A pass's *own* changes re-run it next round (its seen version is
-  // recorded pre-bump), since one invocation need not be a fixpoint.
-  enum Pass {
-    PDevirt,
-    PInline,
-    PSsa,
-    PDce,
-    PEscape,
-    PDeadFields,
-    PassCount
+  // Per-function change tracking. Every (pass, function) visit has a
+  // tick — its pass run's Base plus the function's position — so ticks
+  // order visits the way a pass makes them. ChangedAt[i] is the tick of
+  // the last visit that changed Functions[i]; Quiet[P][i] the tick of
+  // pass P's last visit of it that changed nothing, or 0 when P changed
+  // it there (one visit need not be a fixpoint) or never visited it.
+  // P skips Functions[i] when that quiet visit is newer than every
+  // change to the function and, for the inliner, to each direct callee
+  // the visit saw: it would read the same input and do nothing again.
+  enum Pass { PDevirt, PInline, PSsa, PDce, PEscape, PassCount };
+  std::vector<uint64_t> ChangedAt, Quiet[PassCount];
+  uint64_t Base = 1, LastChange = 0;
+  // Dead-field elimination reads every function at once: its last
+  // quiet run's tick, 0 when it has to run.
+  uint64_t DeadFieldsQuiet = 0;
+  PassScope Scope;
+
+  auto mustVisit = [&](Pass P, size_t I) {
+    uint64_t Q = Quiet[P][I];
+    if (Q == 0 || ChangedAt[I] > Q)
+      return true;
+    if (P == PInline)
+      for (const IrFunction *G : Scope.Callees[I]) {
+        size_t J = G->id();
+        if (J >= M.Functions.size() || M.Functions[J] != G ||
+            ChangedAt[J] > Q)
+          return true;
+      }
+    return false;
   };
-  uint64_t ModVersion = 1;
-  uint64_t SeenVersion[PassCount] = {0};
+  size_t NumBodies = 0; // Functions with blocks: the ones passes visit.
+  for (const IrFunction *F : M.Functions)
+    NumBodies += !F->Blocks.empty();
 
   // Runs one pass, banking its wall time into the named OptStats field.
   auto Timed = [&](double OptStats::*Field, auto &&Pass) -> size_t {
@@ -71,69 +91,110 @@ OptStats virgil::optimizeModule(IrModule &M, const OptOptions &Options) {
         std::chrono::duration<double, std::milli>(Clock::now() - T0).count();
     return Changed;
   };
+  // Runs a per-function pass over the functions it must visit; a run
+  // with nothing to visit is skipped whole (no timing, no dump).
+  // Returns whether it changed any function.
   auto Run = [&](Pass P, double OptStats::*Field, const char *Name,
-                 auto &&PassFn) -> size_t {
-    if (SeenVersion[P] == ModVersion) {
-      ++Stats.PassRunsSkipped;
-      return 0;
+                 auto &&PassFn) -> bool {
+    size_t N = M.Functions.size();
+    ChangedAt.resize(N, 0);
+    Quiet[P].resize(N, 0);
+    Scope.Visit.assign(N, 0);
+    Scope.Changed.assign(N, 0);
+    bool Any = false;
+    for (size_t I = 0; I != N; ++I) {
+      if (M.Functions[I]->Blocks.empty())
+        continue;
+      if (mustVisit(P, I)) {
+        Scope.Visit[I] = 1;
+        Any = true;
+      } else {
+        ++Stats.PassRunsSkipped;
+      }
     }
-    size_t Changed = Timed(Field, PassFn);
-    if (Changed) {
-      SeenVersion[P] = ModVersion;
-      ++ModVersion;
-    } else {
-      SeenVersion[P] = ModVersion;
+    if (!Any)
+      return false;
+    Timed(Field, [&] { return PassFn(&Scope); });
+    bool Changed = false;
+    for (size_t I = 0; I != N; ++I) {
+      if (!Scope.Visit[I])
+        continue;
+      if (Scope.Changed[I]) {
+        ChangedAt[I] = LastChange = Base + I;
+        Quiet[P][I] = 0;
+        Changed = true;
+      } else {
+        Quiet[P][I] = Base + I;
+      }
     }
+    Base += N + 1;
     if (Options.DumpAfter)
       Options.DumpAfter(Name);
     return Changed;
   };
 
   for (unsigned Round = 0; Round != Options.Rounds; ++Round) {
-    size_t Changes = 0;
+    bool Changed = false;
     if (Options.Devirtualize)
-      Changes += Run(PDevirt, &OptStats::DevirtMs, "devirt",
-                     [&] { return devirtualize(M, Stats, &DomA); });
+      Changed |= Run(PDevirt, &OptStats::DevirtMs, "devirt",
+                     [&](PassScope *S) {
+                       return devirtualize(M, Stats, &DomA, S);
+                     });
     if (Options.Inline)
-      Changes += Run(PInline, &OptStats::InlineMs, "inline", [&] {
-        size_t N = inlineCalls(M, Options.InlineInstrLimit, Stats);
-        if (N)
-          DomA.invalidateAll(); // Splicing callee blocks reshapes CFGs.
-        return N;
-      });
+      Changed |= Run(PInline, &OptStats::InlineMs, "inline",
+                     [&](PassScope *S) {
+                       return inlineCalls(M, Options.InlineInstrLimit,
+                                          Stats, &DomA, S);
+                     });
     if (Options.Ssa)
-      Changes += Run(PSsa, &OptStats::SsaMs, "ssa-out", [&] {
+      Changed |= Run(PSsa, &OptStats::SsaMs, "ssa-out", [&](PassScope *S) {
         // The sandwich's stages handle their own tree invalidation.
-        ssa::SsaPassStats S;
-        size_t N = ssa::runSsaPasses(M, DomA, S, Options.DumpAfter);
-        Stats.PhisPlaced += S.PhisPlaced;
-        Stats.SccpFolded += S.SccpFolded;
-        Stats.BranchesFolded += S.BranchesFolded;
-        Stats.CopiesPropagated += S.CopiesPropagated;
-        Stats.LoadsEliminated += S.LoadsEliminated;
-        Stats.StoresKilled += S.StoresKilled;
-        Stats.NullChecksRemoved += S.NullChecksRemoved;
-        Stats.InstrsRemoved += S.InstrsRemoved;
+        ssa::SsaPassStats SS;
+        size_t N = ssa::runSsaPasses(M, DomA, SS, Options.DumpAfter, S);
+        Stats.PhisPlaced += SS.PhisPlaced;
+        Stats.SccpFolded += SS.SccpFolded;
+        Stats.BranchesFolded += SS.BranchesFolded;
+        Stats.CopiesPropagated += SS.CopiesPropagated;
+        Stats.LoadsEliminated += SS.LoadsEliminated;
+        Stats.StoresKilled += SS.StoresKilled;
+        Stats.NullChecksRemoved += SS.NullChecksRemoved;
+        Stats.InstrsRemoved += SS.InstrsRemoved;
         return N;
       });
     if (Options.Dce)
-      Changes += Run(PDce, &OptStats::DceMs, "dce", [&] {
-        size_t N = eliminateDeadCode(M, Stats);
-        if (N)
-          DomA.invalidateAll(); // May delete unreachable blocks.
-        return N;
+      Changed |= Run(PDce, &OptStats::DceMs, "dce", [&](PassScope *S) {
+        return eliminateDeadCode(M, Stats, &DomA, S);
       });
     // After SCCP and DCE so alias chains are short, and
     // before dead-field elimination so fields whose last loads were
     // scalarized away can be dropped in the same round.
     if (Options.Escape)
-      Changes += Run(PEscape, &OptStats::EscapeMs, "escape", [&] {
-        return scalarReplaceAllocations(M, Stats, &DomA);
-      });
-    if (Options.DeadFields)
-      Changes += Run(PDeadFields, &OptStats::DeadFieldsMs, "deadfields",
-                     [&] { return eliminateDeadFields(M, Stats); });
-    if (Changes == 0)
+      Changed |= Run(PEscape, &OptStats::EscapeMs, "escape",
+                     [&](PassScope *S) {
+                       return scalarReplaceAllocations(M, Stats, &DomA, S);
+                     });
+    if (Options.DeadFields) {
+      if (DeadFieldsQuiet && LastChange < DeadFieldsQuiet) {
+        Stats.PassRunsSkipped += NumBodies;
+      } else {
+        uint64_t Tick = Base++;
+        if (Timed(&OptStats::DeadFieldsMs,
+                  [&] { return eliminateDeadFields(M, Stats); })) {
+          // Field indices moved in every function that touches one.
+          ChangedAt.assign(M.Functions.size(), Tick);
+          LastChange = Tick;
+          DeadFieldsQuiet = 0;
+          Changed = true;
+        } else {
+          DeadFieldsQuiet = Tick;
+        }
+        if (Options.DumpAfter)
+          Options.DumpAfter("deadfields");
+      }
+    }
+    // A round that changed no function leaves nothing to visit: every
+    // pass's last visit of every function found nothing to do.
+    if (!Changed)
       break;
   }
   return Stats;

@@ -17,9 +17,15 @@
 ///  * escape analysis + scalar replacement of non-escaping objects and
 ///    closures (post-normalization only; see opt/Escape.h).
 ///
-/// Passes run in rounds until a fixpoint or the round limit. Each
-/// round times every pass it runs; the per-pass milliseconds accumulate
-/// in OptStats and surface through --stats, batch JSON, and STATS.
+/// Passes run in rounds until a fixpoint or the round limit, on a
+/// per-function schedule: every pass reports which functions it
+/// changed, and a pass skips a function when neither it nor (for the
+/// inliner) any direct callee has changed since that pass last visited
+/// it without effect — such a visit would read the same input and do
+/// nothing again. A dead-field removal counts as a change to every
+/// function. Each round times every pass run that visits anything; the
+/// per-pass milliseconds accumulate in OptStats and surface through
+/// --stats, batch JSON, and STATS.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +38,8 @@
 #include <functional>
 
 namespace virgil {
+
+struct PassScope;
 
 namespace ssa {
 class DominatorAnalysis;
@@ -87,8 +95,10 @@ struct OptStats {
   size_t LoadsEliminated = 0;
   size_t StoresKilled = 0;
   size_t NullChecksRemoved = 0;
-  /// Pass invocations skipped because no pass had changed the module
-  /// since their last run (the per-pass changed-bit scheduler).
+  /// (pass, function) visits skipped by the per-function schedule:
+  /// nothing the pass reads of that function had changed since its
+  /// last visit there found nothing to do. A skipped dead-field run
+  /// counts one skip per function.
   size_t PassRunsSkipped = 0;
   /// Wall-clock milliseconds per pass, summed over rounds.
   double DevirtMs = 0;
@@ -104,11 +114,20 @@ struct OptStats {
 /// Individual passes; each returns the number of changes made. The
 /// passes taking a DominatorAnalysis use the shared memoized dominator
 /// trees when one is supplied (the pass manager threads one through a
-/// whole optimizeModule invocation) and compute their own otherwise.
-size_t eliminateDeadCode(IrModule &M, OptStats &Stats);
-size_t inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats);
+/// whole optimizeModule invocation) and compute their own otherwise;
+/// DCE and the inliner invalidate the trees of exactly the functions
+/// whose blocks they changed. With a PassScope (ir/PassScope.h) a pass
+/// visits only the functions the scope names and flags the ones it
+/// changed; dead-field elimination is module-wide and takes none.
+size_t eliminateDeadCode(IrModule &M, OptStats &Stats,
+                         ssa::DominatorAnalysis *DomA = nullptr,
+                         PassScope *Scope = nullptr);
+size_t inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats,
+                   ssa::DominatorAnalysis *DomA = nullptr,
+                   PassScope *Scope = nullptr);
 size_t devirtualize(IrModule &M, OptStats &Stats,
-                    ssa::DominatorAnalysis *DomA = nullptr);
+                    ssa::DominatorAnalysis *DomA = nullptr,
+                    PassScope *Scope = nullptr);
 size_t eliminateDeadFields(IrModule &M, OptStats &Stats);
 
 /// Runs the configured pipeline.

@@ -13,42 +13,93 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace virgil;
 using namespace virgil::ssa;
 
-std::map<const IrBlock *, std::vector<PredEdge>>
+void BlockIndex::reset(const std::vector<IrBlock *> &Blocks) {
+  Sorted.clear();
+  Sorted.reserve(Blocks.size());
+  for (size_t I = 0; I != Blocks.size(); ++I)
+    Sorted.push_back({Blocks[I], (int)I});
+  std::sort(Sorted.begin(), Sorted.end(), [](const auto &A, const auto &B) {
+    return std::less<const IrBlock *>()(A.first, B.first);
+  });
+}
+
+int BlockIndex::operator()(const IrBlock *B) const {
+  auto It = std::lower_bound(
+      Sorted.begin(), Sorted.end(), B, [](const auto &E, const IrBlock *K) {
+        return std::less<const IrBlock *>()(E.first, K);
+      });
+  return It != Sorted.end() && It->first == B ? It->second : -1;
+}
+
+std::vector<std::vector<PredEdge>>
 virgil::ssa::computePredEdges(const IrFunction &F) {
-  std::map<const IrBlock *, std::vector<PredEdge>> Preds;
-  for (IrBlock *B : F.Blocks)
-    Preds[B]; // Ensure every block has an entry.
-  for (IrBlock *B : F.Blocks) {
-    if (B->Succ0)
-      Preds[B->Succ0].push_back({B, 0});
-    if (B->Succ1)
-      Preds[B->Succ1].push_back({B, 1});
+  BlockIndex Index(F.Blocks);
+  std::vector<std::vector<PredEdge>> Preds(F.Blocks.size());
+  for (size_t I = 0; I != F.Blocks.size(); ++I) {
+    IrBlock *B = F.Blocks[I];
+    for (int SuccIdx = 0; SuccIdx != 2; ++SuccIdx)
+      if (IrBlock *S = SuccIdx == 0 ? B->Succ0 : B->Succ1)
+        if (int SI = Index(S); SI >= 0)
+          Preds[(size_t)SI].push_back({B, SuccIdx, (int)I});
   }
   return Preds;
+}
+
+const DomTree &DominatorAnalysis::get(const IrFunction *F) {
+  size_t Id = F->id();
+  if (Cache.size() <= Id)
+    Cache.resize(Id + 1);
+  Entry &E = Cache[Id];
+  if (E.F == F && E.Valid) {
+    if (ssaVerifyEnabled()) {
+      DomTree Fresh;
+      Fresh.compute(*F);
+      if (!Fresh.sameShape(*E.Tree)) {
+        std::fprintf(stderr,
+                     "virgil: stale dominator tree for '%s': its CFG "
+                     "changed without an invalidation\n",
+                     F->Name.c_str());
+        std::abort();
+      }
+    }
+    return *E.Tree;
+  }
+  if (!E.Tree)
+    E.Tree = std::make_unique<DomTree>();
+  E.F = F;
+  E.Valid = true;
+  E.Tree->compute(*F);
+  return *E.Tree;
 }
 
 void DomTree::compute(const IrFunction &F) {
   size_t N = F.Blocks.size();
   Blocks.assign(F.Blocks.begin(), F.Blocks.end());
-  Index.clear();
-  for (size_t I = 0; I != N; ++I)
-    Index[Blocks[I]] = (int)I;
+  Index.reset(Blocks);
+  Succs.assign(N * 2, -1);
+  for (size_t I = 0; I != N; ++I) {
+    if (Blocks[I]->Succ0)
+      Succs[I * 2] = Index(Blocks[I]->Succ0);
+    if (Blocks[I]->Succ1)
+      Succs[I * 2 + 1] = Index(Blocks[I]->Succ1);
+  }
 
   // Structural predecessor edges in canonical order (pred position in
   // F.Blocks, Succ0 edge before Succ1) — phi arguments index into
-  // this.
-  Preds.assign(N, {});
-  for (size_t I = 0; I != N; ++I) {
-    IrBlock *B = Blocks[I];
-    if (B->Succ0)
-      Preds[(size_t)Index[B->Succ0]].push_back({B, 0});
-    if (B->Succ1)
-      Preds[(size_t)Index[B->Succ1]].push_back({B, 1});
-  }
+  // this. Inner vectors keep their capacity across recomputations.
+  Preds.resize(N);
+  for (std::vector<PredEdge> &P : Preds)
+    P.clear();
+  for (size_t I = 0; I != N; ++I)
+    for (int SuccIdx = 0; SuccIdx != 2; ++SuccIdx)
+      if (int S = Succs[I * 2 + (size_t)SuccIdx]; S >= 0)
+        Preds[(size_t)S].push_back({Blocks[I], SuccIdx, (int)I});
 
   // Postorder over the reachable subgraph (iterative DFS), then
   // reverse for RPO.
@@ -62,12 +113,10 @@ void DomTree::compute(const IrFunction &F) {
     std::vector<int> Post;
     while (!Stack.empty()) {
       auto &[BI, Slot] = Stack.back();
-      IrBlock *B = Blocks[(size_t)BI];
-      IrBlock *Succ = Slot == 0 ? B->Succ0 : (Slot == 1 ? B->Succ1 : nullptr);
       if (Slot < 2) {
+        int SI = Succs[(size_t)BI * 2 + (size_t)Slot];
         ++Slot;
-        if (Succ) {
-          int SI = Index[Succ];
+        if (SI >= 0) {
           if (!State[(size_t)SI]) {
             State[(size_t)SI] = 1;
             Stack.push_back({SI, 0});
@@ -105,7 +154,7 @@ void DomTree::compute(const IrFunction &F) {
         int BI = Rpo[P];
         int NewIdom = -1;
         for (const PredEdge &E : Preds[(size_t)BI]) {
-          int PI = Index[E.Pred];
+          int PI = E.PredIdx;
           if (RpoPos[(size_t)PI] < 0 || Idom[(size_t)PI] < 0)
             continue; // Unreachable or unprocessed predecessor.
           NewIdom = NewIdom < 0 ? PI : intersect(PI, NewIdom);
@@ -126,7 +175,9 @@ void DomTree::compute(const IrFunction &F) {
   // idom), which is what lets LoadStoreElim's monotonic clobber clocks
   // see every path clobber in time — only back edges (loop headers)
   // need a separate barrier.
-  Children.assign(N, {});
+  Children.resize(N);
+  for (std::vector<int> &C : Children)
+    C.clear();
   for (int BI : Rpo)
     if (Idom[(size_t)BI] >= 0)
       Children[(size_t)Idom[(size_t)BI]].push_back(BI);
@@ -152,12 +203,14 @@ void DomTree::compute(const IrFunction &F) {
 
   // Dominance frontiers (CHK): for every join, walk each predecessor
   // up to the join's idom.
-  Frontier.assign(N, {});
+  Frontier.resize(N);
+  for (std::vector<int> &DF : Frontier)
+    DF.clear();
   for (size_t I = 0; I != N; ++I) {
     if (RpoPos[I] < 0 || Preds[I].size() < 2)
       continue;
     for (const PredEdge &E : Preds[I]) {
-      int Runner = Index[E.Pred];
+      int Runner = E.PredIdx;
       if (RpoPos[(size_t)Runner] < 0)
         continue;
       while (Runner >= 0 && Runner != Idom[I]) {

@@ -44,8 +44,6 @@
 
 #include "ssa/SsaInternal.h"
 
-#include <functional>
-
 using namespace virgil;
 using namespace virgil::ssa;
 
@@ -85,54 +83,46 @@ bool nullChecksBase(Opcode Op) {
 }
 
 /// Same-block dead-store kill (see file comment for the safety rule).
-size_t killDeadStores(IrFunction &F, std::set<IrInstr *> &Dead,
-                      SsaPassStats &Stats) {
+/// A store closes every other kill window before opening its own, so
+/// at most one store is pending at a time.
+size_t killDeadStores(IrFunction &F, DeadInstrs &Dead, SsaPassStats &Stats) {
   size_t Killed = 0;
-  for (IrBlock *B : F.Blocks) {
-    std::map<std::pair<Reg, int>, IrInstr *> PendingField;
-    std::map<int, IrInstr *> PendingGlobal;
-    for (IrInstr *I : B->Instrs) {
-      if (I->Op == Opcode::FieldSet) {
-        auto Key = std::make_pair(I->Args[0], I->Index);
-        auto It = PendingField.find(Key);
-        IrInstr *Victim = It != PendingField.end() ? It->second : nullptr;
-        // A store is impure: it invalidates every other pending kill
-        // window before opening its own.
-        PendingField.clear();
-        PendingGlobal.clear();
-        if (Victim) {
-          Dead.insert(Victim);
+  for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
+    const auto &Instrs = F.Blocks[BI]->Instrs;
+    const IrInstr *Pending = nullptr;
+    size_t PendingPos = 0;
+    for (size_t P = 0; P != Instrs.size(); ++P) {
+      const IrInstr *I = Instrs[P];
+      if (I->Op == Opcode::FieldSet || I->Op == Opcode::GlobalSet) {
+        if (Pending && Pending->Op == I->Op && Pending->Index == I->Index &&
+            (I->Op == Opcode::GlobalSet || Pending->Args[0] == I->Args[0])) {
+          Dead.mark(BI, PendingPos);
           ++Killed;
           ++Stats.StoresKilled;
         }
-        PendingField[Key] = I;
-        continue;
-      }
-      if (I->Op == Opcode::GlobalSet) {
-        auto It = PendingGlobal.find(I->Index);
-        IrInstr *Victim = It != PendingGlobal.end() ? It->second : nullptr;
-        PendingField.clear();
-        PendingGlobal.clear();
-        if (Victim) {
-          Dead.insert(Victim);
-          ++Killed;
-          ++Stats.StoresKilled;
-        }
-        PendingGlobal[I->Index] = I;
+        Pending = I;
+        PendingPos = P;
         continue;
       }
       if (I->Op == Opcode::GlobalGet) {
         // Pure, but it observes the global: only that window closes.
-        PendingGlobal.erase(I->Index);
+        if (Pending && Pending->Op == Opcode::GlobalSet &&
+            Pending->Index == I->Index)
+          Pending = nullptr;
         continue;
       }
-      if (!isPure(I->Op)) {
-        PendingField.clear();
-        PendingGlobal.clear();
-      }
+      if (!isPure(I->Op))
+        Pending = nullptr;
     }
   }
   return Killed;
+}
+
+/// Grows \p V so index \p I exists.
+template <typename T> T &at(std::vector<T> &V, size_t I) {
+  if (V.size() <= I)
+    V.resize(I + 1);
+  return V[I];
 }
 
 } // namespace
@@ -144,54 +134,90 @@ size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
   if (F.Blocks.empty())
     return 0;
 
-  std::set<IrInstr *> Dead;
+  DeadInstrs Dead(F);
   size_t Changes = killDeadStores(F, Dead, Stats);
-  std::map<Reg, Reg> Repl;
+  Replacements Repl;
 
-  // Scoped state (undone on subtree exit).
-  std::map<std::pair<Reg, int>, Avail> FieldAvail;
-  std::map<int, Avail> GlobalAvail;
-  std::set<Reg> NonNull;
-  // Monotonic clobber clocks (never undone).
-  std::map<int, uint64_t> FieldClobber, GlobalClobber;
+  // Scoped state (undone on subtree exit). Field facts hang off their
+  // base register in short chains (one link per field read or written
+  // through that base); global facts and non-null bits are indexed
+  // directly.
+  struct FieldFact {
+    int Index;
+    Avail A;
+    int Next;
+  };
+  std::vector<FieldFact> Facts;
+  std::vector<int> FactHead(F.RegTypes.size(), -1);
+  std::vector<Avail> GlobalAvail;
+  std::vector<char> NonNull(F.RegTypes.size(), 0);
+  // Monotonic clobber clocks (never undone), by field / global index.
+  std::vector<uint64_t> FieldClobber, GlobalClobber;
   uint64_t CallClobber = 0;
   uint64_t Clock = 0;
 
-  std::vector<std::function<void()>> Undo;
+  struct UndoRec {
+    enum Kind : uint8_t { NewFact, OldFact, OldGlobal, NonNullBit } K;
+    size_t Slot; ///< Base register, fact, global index, or register.
+    Avail Old;
+  };
+  std::vector<UndoRec> Undo;
 
-  auto setField = [&](std::pair<Reg, int> Key, Reg R) {
-    auto It = FieldAvail.find(Key);
-    if (It != FieldAvail.end()) {
-      Avail Old = It->second;
-      Undo.push_back([&FieldAvail, Key, Old] { FieldAvail[Key] = Old; });
-    } else {
-      Undo.push_back([&FieldAvail, Key] { FieldAvail.erase(Key); });
+  auto findField = [&](Reg Base, int Idx) -> FieldFact * {
+    for (int L = FactHead[Base]; L >= 0; L = Facts[(size_t)L].Next)
+      if (Facts[(size_t)L].Index == Idx)
+        return &Facts[(size_t)L];
+    return nullptr;
+  };
+  auto setField = [&](Reg Base, int Idx, Reg R) {
+    Avail New{R, ++Clock};
+    if (FieldFact *Fact = findField(Base, Idx)) {
+      Undo.push_back({UndoRec::OldFact, (size_t)(Fact - Facts.data()),
+                      Fact->A});
+      Fact->A = New;
+      return;
     }
-    FieldAvail[Key] = {R, ++Clock};
+    Facts.push_back({Idx, New, FactHead[Base]});
+    FactHead[Base] = (int)Facts.size() - 1;
+    Undo.push_back({UndoRec::NewFact, Base, {}});
   };
   auto setGlobal = [&](int Idx, Reg R) {
-    auto It = GlobalAvail.find(Idx);
-    if (It != GlobalAvail.end()) {
-      Avail Old = It->second;
-      Undo.push_back([&GlobalAvail, Idx, Old] { GlobalAvail[Idx] = Old; });
-    } else {
-      Undo.push_back([&GlobalAvail, Idx] { GlobalAvail.erase(Idx); });
-    }
-    GlobalAvail[Idx] = {R, ++Clock};
+    Avail &G = at(GlobalAvail, (size_t)Idx);
+    Undo.push_back({UndoRec::OldGlobal, (size_t)Idx, G});
+    G = {R, ++Clock};
   };
   auto addNonNull = [&](Reg R) {
-    if (NonNull.insert(R).second)
-      Undo.push_back([&NonNull, R] { NonNull.erase(R); });
+    if (!NonNull[R]) {
+      NonNull[R] = 1;
+      Undo.push_back({UndoRec::NonNullBit, R, {}});
+    }
   };
-  auto fieldValid = [&](const Avail &A, int Idx) {
-    auto It = FieldClobber.find(Idx);
-    uint64_t C = It == FieldClobber.end() ? 0 : It->second;
-    return A.R != NoReg && A.T > C && A.T > CallClobber;
+  auto undoTo = [&](size_t Mark) {
+    while (Undo.size() > Mark) {
+      const UndoRec &U = Undo.back();
+      switch (U.K) {
+      case UndoRec::NewFact:
+        FactHead[U.Slot] = Facts.back().Next;
+        Facts.pop_back();
+        break;
+      case UndoRec::OldFact:
+        Facts[U.Slot].A = U.Old;
+        break;
+      case UndoRec::OldGlobal:
+        GlobalAvail[U.Slot] = U.Old;
+        break;
+      case UndoRec::NonNullBit:
+        NonNull[U.Slot] = 0;
+        break;
+      }
+      Undo.pop_back();
+    }
   };
-  auto globalValid = [&](const Avail &A, int Idx) {
-    auto It = GlobalClobber.find(Idx);
-    uint64_t C = It == GlobalClobber.end() ? 0 : It->second;
-    return A.R != NoReg && A.T > C && A.T > CallClobber;
+  auto clobberOf = [](const std::vector<uint64_t> &Clocks, int Idx) {
+    return (size_t)Idx < Clocks.size() ? Clocks[(size_t)Idx] : 0;
+  };
+  auto valid = [&](const Avail &A, uint64_t Clobber) {
+    return A.R != NoReg && A.T > Clobber && A.T > CallClobber;
   };
 
   struct Frame {
@@ -212,43 +238,45 @@ size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
       // been scanned yet, so its stores aren't in the clocks — treat
       // the loop body as clobbering all memory.
       for (const PredEdge &E : DT.preds(Fr.Block)) {
-        int PI = DT.indexOf(E.Pred);
+        int PI = E.PredIdx;
         if (PI >= 0 && DT.reachable(PI) && !Visited[(size_t)PI]) {
           CallClobber = ++Clock;
           break;
         }
       }
-      IrBlock *B = F.Blocks[(size_t)Fr.Block];
-      for (IrInstr *I : B->Instrs) {
-        if (Dead.count(I))
+      size_t BI = (size_t)Fr.Block;
+      IrBlock *B = F.Blocks[BI];
+      for (size_t Pos = 0; Pos != B->Instrs.size(); ++Pos) {
+        IrInstr *I = B->Instrs[Pos];
+        if (Dead.marked(BI, Pos))
           continue; // A killed store contributes no facts.
         switch (I->Op) {
         case Opcode::FieldGet: {
           Reg Base = I->Args[0];
-          auto Key = std::make_pair(Base, I->Index);
-          auto It = FieldAvail.find(Key);
-          if (It != FieldAvail.end() && fieldValid(It->second, I->Index)) {
-            Repl[I->Dsts[0]] = It->second.R;
-            Dead.insert(I);
+          FieldFact *Fact = findField(Base, I->Index);
+          if (Fact && valid(Fact->A, clobberOf(FieldClobber, I->Index))) {
+            Repl.add(F, I->Dsts[0], Fact->A.R);
+            Dead.mark(BI, Pos);
             ++Stats.LoadsEliminated;
             ++Changes;
             break;
           }
-          setField(Key, I->Dsts[0]);
+          setField(Base, I->Index, I->Dsts[0]);
           addNonNull(Base);
           break;
         }
         case Opcode::FieldSet: {
-          FieldClobber[I->Index] = ++Clock;
-          setField(std::make_pair(I->Args[0], I->Index), I->Args[1]);
+          at(FieldClobber, (size_t)I->Index) = ++Clock;
+          setField(I->Args[0], I->Index, I->Args[1]);
           addNonNull(I->Args[0]);
           break;
         }
         case Opcode::GlobalGet: {
-          auto It = GlobalAvail.find(I->Index);
-          if (It != GlobalAvail.end() && globalValid(It->second, I->Index)) {
-            Repl[I->Dsts[0]] = It->second.R;
-            Dead.insert(I);
+          if ((size_t)I->Index < GlobalAvail.size() &&
+              valid(GlobalAvail[(size_t)I->Index],
+                    clobberOf(GlobalClobber, I->Index))) {
+            Repl.add(F, I->Dsts[0], GlobalAvail[(size_t)I->Index].R);
+            Dead.mark(BI, Pos);
             ++Stats.LoadsEliminated;
             ++Changes;
             break;
@@ -257,14 +285,14 @@ size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
           break;
         }
         case Opcode::GlobalSet: {
-          GlobalClobber[I->Index] = ++Clock;
+          at(GlobalClobber, (size_t)I->Index) = ++Clock;
           setGlobal(I->Index, I->Args[0]);
           break;
         }
         case Opcode::NullCheck: {
           Reg Base = I->Args[0];
-          if (NonNull.count(Base)) {
-            Dead.insert(I);
+          if (NonNull[Base]) {
+            Dead.mark(BI, Pos);
             ++Stats.NullChecksRemoved;
             ++Changes;
             break;
@@ -295,10 +323,7 @@ size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
       Enter = true;
       continue;
     }
-    while (Undo.size() > Stack.back().UndoMark) {
-      Undo.back()();
-      Undo.pop_back();
-    }
+    undoTo(Stack.back().UndoMark);
     Stack.pop_back();
   }
 

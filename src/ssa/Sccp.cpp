@@ -102,7 +102,7 @@ struct Solver {
     Lat L = Lat::top();
     const auto &Preds = DT.preds(BI);
     for (size_t Pos = 0; Pos != Preds.size(); ++Pos) {
-      int PI = DT.indexOf(Preds[Pos].Pred);
+      int PI = Preds[Pos].PredIdx;
       if (PI < 0 || !edgeExec(PI, Preds[Pos].SuccIdx))
         continue;
       L = meet(L, get(I->Args[Pos]));
@@ -240,17 +240,17 @@ struct Solver {
         IrBlock *B = F.Blocks[(size_t)BI];
         for (IrInstr *I : B->Instrs) {
           if (I->Op == Opcode::Br) {
-            Changed |= markEdge(BI, 0, B->Succ0);
+            Changed |= markEdge(BI, 0);
           } else if (I->Op == Opcode::CondBr) {
             Lat C = get(I->Args[0]);
             if (C.K == Lat::Cst) {
               if (C.V != 0)
-                Changed |= markEdge(BI, 0, B->Succ0);
+                Changed |= markEdge(BI, 0);
               else
-                Changed |= markEdge(BI, 1, B->Succ1);
+                Changed |= markEdge(BI, 1);
             } else if (C.K == Lat::Bot) {
-              Changed |= markEdge(BI, 0, B->Succ0);
-              Changed |= markEdge(BI, 1, B->Succ1);
+              Changed |= markEdge(BI, 0);
+              Changed |= markEdge(BI, 1);
             }
           } else if (!I->Dsts.empty()) {
             Lat L = I->Dsts.size() == 1 ? evalInstr(I, BI) : Lat::bot();
@@ -262,12 +262,12 @@ struct Solver {
     }
   }
 
-  bool markEdge(int BI, int SuccIdx, IrBlock *Succ) {
+  bool markEdge(int BI, int SuccIdx) {
     size_t E = (size_t)BI * 2 + (size_t)SuccIdx;
     if (ExecE[E])
       return false;
     ExecE[E] = 1;
-    int SI = DT.indexOf(Succ);
+    int SI = DT.succ(BI, SuccIdx);
     if (SI >= 0)
       ExecB[(size_t)SI] = 1;
     return true;
@@ -307,68 +307,79 @@ void materialize(IrModule &M, IrFunction &F, IrInstr *I, const Lat &L) {
 }
 
 /// Removes the phi argument corresponding to structural edge
-/// (\p Pred, \p SuccIdx) of \p Target, keeping phi arity in sync with
-/// the edge about to be deleted.
-void dropPhiArgsForEdge(IrFunction &F, IrBlock *Target, IrBlock *Pred,
-                        int SuccIdx) {
-  if (Target->Instrs.empty() || Target->Instrs[0]->Op != Opcode::Phi)
-    return;
-  auto Preds = computePredEdges(F)[Target];
+/// (\p Pred, \p SuccIdx) of the block at position \p Target, keeping
+/// phi arity in sync with the edge about to be deleted, and drops the
+/// edge from \p Preds (the canonical lists by block position, kept
+/// current across folds).
+void dropPhiArgsForEdge(IrFunction &F,
+                        std::vector<std::vector<PredEdge>> &Preds,
+                        int Target, IrBlock *Pred, int SuccIdx) {
+  auto &List = Preds[(size_t)Target];
   int Pos = -1;
-  for (size_t P = 0; P != Preds.size(); ++P)
-    if (Preds[P].Pred == Pred && Preds[P].SuccIdx == SuccIdx) {
+  for (size_t P = 0; P != List.size(); ++P)
+    if (List[P].Pred == Pred && List[P].SuccIdx == SuccIdx) {
       Pos = (int)P;
       break;
     }
   if (Pos < 0)
     return;
-  for (IrInstr *I : Target->Instrs) {
+  for (IrInstr *I : F.Blocks[(size_t)Target]->Instrs) {
     if (I->Op != Opcode::Phi)
       break;
-    assert(I->Args.size() == Preds.size() && "phi arity mismatch");
+    assert(I->Args.size() == List.size() && "phi arity mismatch");
     I->Args.erase(I->Args.begin() + Pos);
   }
+  List.erase(List.begin() + Pos);
 }
 
 /// Deletes blocks that became structurally unreachable after branch
 /// rewiring, removing the matching phi arguments in surviving blocks
 /// first so arity stays equal to the (new) structural pred count.
-void removeUnreachableWithPhis(IrFunction &F) {
+/// \p DT maps blocks to their (still unchanged) positions.
+void removeUnreachableWithPhis(IrFunction &F, const DomTree &DT) {
   if (F.Blocks.empty())
     return;
-  std::set<IrBlock *> Live;
+  size_t N = F.Blocks.size();
+  std::vector<char> Live(N, 0);
   std::vector<IrBlock *> Work{F.Blocks[0]};
-  Live.insert(F.Blocks[0]);
+  Live[0] = 1;
+  size_t NumLive = 1;
   while (!Work.empty()) {
     IrBlock *B = Work.back();
     Work.pop_back();
-    for (IrBlock *S : {B->Succ0, B->Succ1})
-      if (S && Live.insert(S).second)
+    for (IrBlock *S : {B->Succ0, B->Succ1}) {
+      int SI = S ? DT.indexOf(S) : -1;
+      if (SI >= 0 && !Live[(size_t)SI]) {
+        Live[(size_t)SI] = 1;
+        ++NumLive;
         Work.push_back(S);
+      }
+    }
   }
-  if (Live.size() == F.Blocks.size())
+  if (NumLive == N)
     return;
   auto AllPreds = computePredEdges(F);
-  for (IrBlock *B : F.Blocks) {
-    if (!Live.count(B) || B->Instrs.empty() ||
-        B->Instrs[0]->Op != Opcode::Phi)
+  for (size_t BI = 0; BI != N; ++BI) {
+    IrBlock *B = F.Blocks[BI];
+    if (!Live[BI] || B->Instrs.empty() || B->Instrs[0]->Op != Opcode::Phi)
       continue;
-    const auto &Preds = AllPreds[B];
+    const auto &Preds = AllPreds[BI];
     for (IrInstr *I : B->Instrs) {
       if (I->Op != Opcode::Phi)
         break;
       assert(I->Args.size() == Preds.size() && "phi arity mismatch");
-      std::vector<Reg> Keep;
-      Keep.reserve(I->Args.size());
+      size_t Out = 0;
       for (size_t P = 0; P != Preds.size(); ++P)
-        if (Live.count(Preds[P].Pred))
-          Keep.push_back(I->Args[P]);
-      I->Args = std::move(Keep);
+        if (Live[(size_t)Preds[P].PredIdx])
+          I->Args[Out++] = I->Args[P];
+      I->Args.resize(Out);
     }
   }
-  F.Blocks.erase(std::remove_if(F.Blocks.begin(), F.Blocks.end(),
-                                [&](IrBlock *B) { return !Live.count(B); }),
-                 F.Blocks.end());
+  size_t Kept = 0;
+  for (size_t BI = 0; BI != N; ++BI)
+    if (Live[BI])
+      F.Blocks[Kept++] = F.Blocks[BI];
+  F.Blocks.resize(Kept);
 }
 
 } // namespace
@@ -381,8 +392,9 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
   S.solve();
 
   size_t Changes = 0;
-  std::map<Reg, Reg> Repl;
-  std::set<IrInstr *> Dead;
+  Replacements Repl;
+  DeadInstrs Dead(F);
+  std::vector<char> RewrotePhi(F.Blocks.size(), 0);
 
   auto isConstOp = [](Opcode Op) {
     switch (Op) {
@@ -429,8 +441,8 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
     if (!S.ExecB[BI])
       continue;
     IrBlock *B = F.Blocks[BI];
-    bool RewrotePhi = false;
-    for (IrInstr *I : B->Instrs) {
+    for (size_t Pos = 0; Pos != B->Instrs.size(); ++Pos) {
+      IrInstr *I = B->Instrs[Pos];
       if (I->Dsts.size() != 1 || isConstOp(I->Op))
         continue;
       Reg D = I->Dsts[0];
@@ -441,8 +453,8 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
       if (I->Op == Opcode::Move ||
           (I->Op == Opcode::TypeCast &&
            F.RegTypes[I->Args[0]] == I->TypeOperand)) {
-        Repl[D] = I->Args[0];
-        Dead.insert(I);
+        Repl.add(F, D, I->Args[0]);
+        Dead.mark(BI, Pos);
         ++Stats.CopiesPropagated;
         ++Changes;
         continue;
@@ -451,7 +463,7 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
         continue;
       if (L.K == Lat::Cst) {
         if (I->Op == Opcode::Phi)
-          RewrotePhi = true;
+          RewrotePhi[BI] = 1;
         materialize(M, F, I, L);
         ++Stats.SccpFolded;
         ++Changes;
@@ -469,28 +481,33 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
         else if (L1.K == Lat::Cst && (IsAnd ? L1.V != 0 : L1.V == 0))
           Other = I->Args[0];
         if (Other != NoReg) {
-          Repl[D] = Other;
-          Dead.insert(I);
+          Repl.add(F, D, Other);
+          Dead.mark(BI, Pos);
           ++Stats.CopiesPropagated;
           ++Changes;
         }
       }
     }
-    // Keep the phi group contiguous at the block head: a phi folded to
-    // a constant is an ordinary instruction now and moves below its
-    // siblings.
-    if (RewrotePhi)
-      std::stable_partition(
-          B->Instrs.begin(), B->Instrs.end(),
-          [](const IrInstr *I) { return I->Op == Opcode::Phi; });
   }
 
   applyReplacements(F, Repl, Info);
   eraseInstrs(F, Dead);
+  // Keep the phi group contiguous at the block head: a phi folded to a
+  // constant is an ordinary instruction now and moves below its
+  // siblings. (The erased instructions were never phis, so partitioning
+  // after the erase gives the same order as before it.)
+  for (size_t BI = 0; BI != F.Blocks.size(); ++BI)
+    if (RewrotePhi[BI])
+      std::stable_partition(
+          F.Blocks[BI]->Instrs.begin(), F.Blocks[BI]->Instrs.end(),
+          [](const IrInstr *I) { return I->Op == Opcode::Phi; });
 
   // Branch rewiring: statically-decided conditional branches become
   // unconditional; the untaken edge's phi argument goes first so arity
-  // tracks the structural CFG.
+  // tracks the structural CFG. Block positions don't move until the
+  // unreachable sweep, so the tree's positions stay valid; the edge
+  // lists are the tree's, kept current per fold.
+  std::vector<std::vector<PredEdge>> Preds;
   for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
     if (!S.ExecB[BI])
       continue;
@@ -504,9 +521,17 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
     if (C.K != Lat::Cst)
       continue;
     int DroppedIdx = C.V != 0 ? 1 : 0;
-    IrBlock *DroppedTarget = DroppedIdx == 0 ? B->Succ0 : B->Succ1;
     IrBlock *Taken = C.V != 0 ? B->Succ0 : B->Succ1;
-    dropPhiArgsForEdge(F, DroppedTarget, B, DroppedIdx);
+    if (Preds.empty())
+      for (size_t P = 0; P != DT.numBlocks(); ++P)
+        Preds.push_back(DT.preds((int)P));
+    dropPhiArgsForEdge(F, Preds, DT.succ((int)BI, DroppedIdx), B,
+                       DroppedIdx);
+    // The taken edge now leaves through Succ0.
+    if (DroppedIdx == 0)
+      for (PredEdge &E : Preds[(size_t)DT.succ((int)BI, 1)])
+        if (E.Pred == B && E.SuccIdx == 1)
+          E.SuccIdx = 0;
     T->Op = Opcode::Br;
     T->Args.clear();
     B->Succ0 = Taken;
@@ -515,6 +540,6 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
     ++Changes;
   }
 
-  removeUnreachableWithPhis(F);
+  removeUnreachableWithPhis(F, DT);
   return Changes;
 }

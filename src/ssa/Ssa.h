@@ -22,29 +22,48 @@
 #define VIRGIL_SSA_SSA_H
 
 #include "ir/Ir.h"
+#include "ir/PassScope.h"
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
 namespace virgil {
 namespace ssa {
 
-/// One CFG in-edge: \p Pred jumps here through its \p SuccIdx slot
-/// (0 = Succ0, 1 = Succ1). Phi argument positions follow the canonical
-/// enumeration order: predecessors by position in IrFunction::Blocks,
-/// Succ0 edge before Succ1 edge for a block that branches here twice.
+/// Block -> position lookup over one block list: (block, position)
+/// pairs sorted by address, so building it is one small sort and a
+/// lookup is a binary search, with no per-block node allocation.
+/// Positions go stale when the list changes.
+class BlockIndex {
+public:
+  BlockIndex() = default;
+  explicit BlockIndex(const std::vector<IrBlock *> &Blocks) { reset(Blocks); }
+  void reset(const std::vector<IrBlock *> &Blocks);
+  /// Position of \p B in the list, or -1 when it is not there.
+  int operator()(const IrBlock *B) const;
+
+private:
+  std::vector<std::pair<const IrBlock *, int>> Sorted;
+};
+
+/// One CFG in-edge: \p Pred (at position \p PredIdx of the block list
+/// the edges were computed over) jumps here through its \p SuccIdx
+/// slot (0 = Succ0, 1 = Succ1). Phi argument positions follow the
+/// canonical enumeration order: predecessors by position in
+/// IrFunction::Blocks, Succ0 edge before Succ1 edge for a block that
+/// branches here twice.
 struct PredEdge {
   IrBlock *Pred = nullptr;
   int SuccIdx = 0;
+  int PredIdx = -1;
 };
 
-/// Canonical predecessor-edge lists for every block of \p F (structural
-/// edges — unreachable predecessors included, so phi arity stays in
-/// sync with what the CFG says rather than with what executes).
-std::map<const IrBlock *, std::vector<PredEdge>>
-computePredEdges(const IrFunction &F);
+/// Canonical predecessor-edge lists for every block of \p F, indexed by
+/// block position (structural edges — unreachable predecessors
+/// included, so phi arity stays in sync with what the CFG says rather
+/// than with what executes).
+std::vector<std::vector<PredEdge>> computePredEdges(const IrFunction &F);
 
 /// Dominator tree + dominance frontiers for one function, computed
 /// with the Cooper/Harvey/Kennedy RPO-intersection algorithm. Block
@@ -57,9 +76,10 @@ public:
 
   size_t numBlocks() const { return Blocks.size(); }
   IrBlock *block(int I) const { return Blocks[(size_t)I]; }
-  int indexOf(const IrBlock *B) const {
-    auto It = Index.find(B);
-    return It == Index.end() ? -1 : It->second;
+  int indexOf(const IrBlock *B) const { return Index(B); }
+  /// Position of block \p I's successor in slot \p SuccIdx, -1 if none.
+  int succ(int I, int SuccIdx) const {
+    return Succs[(size_t)I * 2 + (size_t)SuccIdx];
   }
   bool reachable(int I) const { return RpoPos[(size_t)I] >= 0; }
   bool reachable(const IrBlock *B) const {
@@ -82,6 +102,11 @@ public:
   /// Reachable block indices in reverse postorder (entry first).
   const std::vector<int> &rpo() const { return Rpo; }
 
+  /// Same blocks, immediate dominators and reverse postorder?
+  bool sameShape(const DomTree &O) const {
+    return Blocks == O.Blocks && Idom == O.Idom && Rpo == O.Rpo;
+  }
+
   /// Does block \p A dominate block \p B? Reflexive; false if either
   /// block is unreachable.
   bool dominates(int A, int B) const {
@@ -97,7 +122,8 @@ public:
 
 private:
   std::vector<IrBlock *> Blocks;
-  std::map<const IrBlock *, int> Index;
+  BlockIndex Index;
+  std::vector<int> Succs; ///< Two successor positions per block.
   std::vector<std::vector<PredEdge>> Preds;
   std::vector<int> Rpo;
   std::vector<int> RpoPos; ///< Block index -> RPO position, -1 if unreachable.
@@ -111,24 +137,31 @@ private:
 /// of one optimizeModule() invocation — Escape, the CHA devirtualizer,
 /// and the SSA sandwich all consume the same tree instead of
 /// re-deriving dominators per invocation. Passes that change the CFG
-/// (inlining, DCE's block surgery, the sandwich itself) invalidate the
-/// functions they touched; instruction-level rewrites don't disturb
-/// block-level dominance and need no invalidation.
+/// (inlining, DCE's block surgery, the sandwich itself) invalidate
+/// exactly the functions whose blocks or edges they changed;
+/// instruction-level rewrites don't disturb block-level dominance and
+/// need no invalidation. Trees are cached by function id, and an
+/// invalidated tree keeps its storage for the next computation.
+///
+/// When strict-SSA verification is on (see ssaVerifyEnabled) a cache
+/// hit recomputes the tree and aborts, naming the function, if the
+/// cached one is stale: a missed invalidation fails loudly instead of
+/// feeding a pass wrong dominance.
 class DominatorAnalysis {
 public:
-  const DomTree &get(const IrFunction *F) {
-    auto It = Cache.find(F);
-    if (It != Cache.end())
-      return *It->second;
-    auto DT = std::make_unique<DomTree>();
-    DT->compute(*F);
-    return *Cache.emplace(F, std::move(DT)).first->second;
+  const DomTree &get(const IrFunction *F);
+  void invalidate(const IrFunction *F) {
+    if (F->id() < Cache.size() && Cache[F->id()].F == F)
+      Cache[F->id()].Valid = false;
   }
-  void invalidate(const IrFunction *F) { Cache.erase(F); }
-  void invalidateAll() { Cache.clear(); }
 
 private:
-  std::map<const IrFunction *, std::unique_ptr<DomTree>> Cache;
+  struct Entry {
+    const IrFunction *F = nullptr;
+    bool Valid = false;
+    std::unique_ptr<DomTree> Tree;
+  };
+  std::vector<Entry> Cache;
 };
 
 /// Per-function SSA bookkeeping, alive from buildSsa() to
@@ -205,8 +238,16 @@ size_t runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
 size_t runLoadStoreElim(IrModule &M, IrFunction &F, const DomTree &DT,
                         SsaInfo &Info, SsaPassStats &Stats);
 
+/// Deletes pure definitions none of whose results is read, chains
+/// included, with one use-count worklist; with \p SelfMoves also every
+/// `x = move x`. A register may have several definitions (the dense
+/// DCE runs on three-address code). The survivors are exactly those of
+/// a repeat-until-quiet sweep. Returns instructions removed.
+size_t removeDeadDefs(IrFunction &F, bool SelfMoves);
+
 /// Deletes pure SSA definitions (including phis) with no remaining
-/// uses. Run before destruction so dead values place no edge copies.
+/// uses via removeDeadDefs. Run before destruction so dead values place
+/// no edge copies. Returns instructions removed.
 size_t runSsaDce(IrFunction &F, SsaInfo &Info);
 
 /// Phi elimination back to three-address form: assigns every SSA value
@@ -223,14 +264,17 @@ void destroySsa(IrModule &M, IrFunction &F, SsaInfo &Info,
 size_t compactRegisters(IrFunction &F);
 
 /// Whole-module sandwich: build -> SCCP -> load/store elim -> SSA-DCE
-/// -> destruct -> compact for every function. \p DumpAfter (optional)
-/// is invoked with "ssa", "sccp", and "loadelim" while the module is
-/// still in SSA form, for --dump-ir=<pass>. Returns total rewrites
-/// (the pass manager's change count).
+/// -> destruct -> compact for every function \p Scope visits (all
+/// when null). \p DumpAfter (optional) is invoked with "ssa", "sccp",
+/// and "loadelim" while the module is still in SSA form, for
+/// --dump-ir=<pass>. Returns total rewrites (the pass manager's change
+/// count); marks in \p Scope every function that did not come back
+/// byte-identical.
 size_t runSsaPasses(IrModule &M, DominatorAnalysis &DomA,
                     SsaPassStats &Stats,
                     const std::function<void(const char *)> &DumpAfter =
-                        std::function<void(const char *)>());
+                        std::function<void(const char *)>(),
+                    PassScope *Scope = nullptr);
 
 /// Strict-SSA verification toggle: on by default in Debug builds (or
 /// with VIRGIL_SSA_VERIFY=on), forced on by the differential-fuzz

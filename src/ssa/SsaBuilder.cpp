@@ -62,8 +62,7 @@ void virgil::ssa::setSsaVerifyEnabled(bool Enabled) {
 // Shared helpers
 //===----------------------------------------------------------------------===//
 
-void virgil::ssa::applyReplacements(IrFunction &F,
-                                    const std::map<Reg, Reg> &Repl,
+void virgil::ssa::applyReplacements(IrFunction &F, const Replacements &Repl,
                                     SsaInfo &Info) {
   if (Repl.empty())
     return;
@@ -71,10 +70,10 @@ void virgil::ssa::applyReplacements(IrFunction &F,
     // Chains are acyclic (a deleted definition never reappears as a
     // target), but bound the walk defensively.
     for (size_t Guard = 0; Guard <= Repl.size(); ++Guard) {
-      auto It = Repl.find(R);
-      if (It == Repl.end())
+      Reg T = Repl[R];
+      if (T == NoReg)
         return R;
-      R = It->second;
+      R = T;
     }
     return R;
   };
@@ -89,36 +88,44 @@ void virgil::ssa::applyReplacements(IrFunction &F,
       }
 }
 
-void virgil::ssa::eraseInstrs(IrFunction &F,
-                              const std::set<IrInstr *> &Dead) {
+void virgil::ssa::eraseInstrs(IrFunction &F, const DeadInstrs &Dead) {
   if (Dead.empty())
     return;
-  for (IrBlock *B : F.Blocks)
-    B->Instrs.erase(std::remove_if(B->Instrs.begin(), B->Instrs.end(),
-                                   [&](IrInstr *I) {
-                                     return Dead.count(I) != 0;
-                                   }),
-                    B->Instrs.end());
+  for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
+    auto &Instrs = F.Blocks[BI]->Instrs;
+    size_t Out = 0;
+    for (size_t I = 0; I != Instrs.size(); ++I)
+      if (!Dead.marked(BI, I))
+        Instrs[Out++] = Instrs[I];
+    Instrs.resize(Out);
+  }
 }
 
 size_t virgil::ssa::removeUnreachableBlocks(IrFunction &F) {
   if (F.Blocks.empty())
     return 0;
-  std::set<IrBlock *> Live;
+  BlockIndex Index(F.Blocks);
+  std::vector<char> Live(F.Blocks.size(), 0);
   std::vector<IrBlock *> Work{F.Blocks[0]};
-  Live.insert(F.Blocks[0]);
+  Live[0] = 1;
   while (!Work.empty()) {
     IrBlock *B = Work.back();
     Work.pop_back();
-    for (IrBlock *S : {B->Succ0, B->Succ1})
-      if (S && Live.insert(S).second)
+    for (IrBlock *S : {B->Succ0, B->Succ1}) {
+      int SI = S ? Index(S) : -1;
+      if (SI >= 0 && !Live[(size_t)SI]) {
+        Live[(size_t)SI] = 1;
         Work.push_back(S);
+      }
+    }
   }
-  size_t Before = F.Blocks.size();
-  F.Blocks.erase(std::remove_if(F.Blocks.begin(), F.Blocks.end(),
-                                [&](IrBlock *B) { return !Live.count(B); }),
-                 F.Blocks.end());
-  return Before - F.Blocks.size();
+  size_t Kept = 0;
+  for (size_t I = 0; I != F.Blocks.size(); ++I)
+    if (Live[I])
+      F.Blocks[Kept++] = F.Blocks[I];
+  size_t Removed = F.Blocks.size() - Kept;
+  F.Blocks.resize(Kept);
+  return Removed;
 }
 
 //===----------------------------------------------------------------------===//
@@ -187,12 +194,9 @@ size_t virgil::ssa::buildSsa(IrModule &M, IrFunction &F, const DomTree &DT,
       Changed = false;
       for (auto It = DT.rpo().rbegin(); It != DT.rpo().rend(); ++It) {
         size_t BI = (size_t)*It;
-        IrBlock *B = F.Blocks[BI];
         uint64_t *Out = LiveOut.row(BI);
-        for (IrBlock *S : {B->Succ0, B->Succ1}) {
-          if (!S)
-            continue;
-          int SI = DT.indexOf(S);
+        for (int SuccIdx = 0; SuccIdx != 2; ++SuccIdx) {
+          int SI = DT.succ((int)BI, SuccIdx);
           if (SI < 0)
             continue;
           const uint64_t *SIn = LiveIn.row((size_t)SI);
@@ -217,35 +221,37 @@ size_t virgil::ssa::buildSsa(IrModule &M, IrFunction &F, const DomTree &DT,
   // live-in. Placeholder args reference the original variable so the
   // slot of a never-renamed (unreachable) predecessor still reads a
   // well-typed value.
+  // Placed/Defd are stamped with the variable they were set for, so
+  // one pair of arrays serves every variable without re-clearing. A
+  // phi's variable is its (not yet renamed) destination.
   size_t PhisPlaced = 0;
-  std::map<const IrInstr *, Reg> PhiVar;
   std::vector<std::vector<IrInstr *>> NewPhis(NumBlocks);
+  std::vector<Reg> PlacedFor(NumBlocks, NoReg), DefdFor(NumBlocks, NoReg);
+  std::vector<int> Work;
   for (Reg V = 0; V != NumRegs; ++V) {
     if (DefBlocks[V].empty())
       continue;
-    std::vector<int> Work = DefBlocks[V];
-    std::vector<char> Placed(NumBlocks, 0), Defd(NumBlocks, 0);
+    Work = DefBlocks[V];
     for (int D : Work)
-      Defd[(size_t)D] = 1;
+      DefdFor[(size_t)D] = V;
     while (!Work.empty()) {
       int N = Work.back();
       Work.pop_back();
       if (!DT.reachable(N))
         continue;
       for (int Y : DT.frontier(N)) {
-        if (Placed[(size_t)Y] || !LiveIn.test((size_t)Y, V))
+        if (PlacedFor[(size_t)Y] == V || !LiveIn.test((size_t)Y, V))
           continue;
-        Placed[(size_t)Y] = 1;
+        PlacedFor[(size_t)Y] = V;
         auto *Phi = M.Nodes.make<IrInstr>();
         Phi->Op = Opcode::Phi;
         Phi->Dsts = {V};
         Phi->Args.assign(DT.preds(Y).size(), V);
         Phi->Ty = F.RegTypes[V];
         NewPhis[(size_t)Y].push_back(Phi);
-        PhiVar[Phi] = V;
         ++PhisPlaced;
-        if (!Defd[(size_t)Y]) {
-          Defd[(size_t)Y] = 1;
+        if (DefdFor[(size_t)Y] != V) {
+          DefdFor[(size_t)Y] = V;
           Work.push_back(Y);
         }
       }
@@ -268,27 +274,33 @@ size_t virgil::ssa::buildSsa(IrModule &M, IrFunction &F, const DomTree &DT,
     return R;
   };
 
+  // A phi's variable: its destination before renaming, the original
+  // of its version after.
+  auto phiVar = [&](const IrInstr *Phi) { return Info.origVar(Phi->Dsts[0]); };
+
   struct Frame {
     int Block;
     size_t NextChild = 0;
-    std::vector<Reg> Pushed;
+    size_t PushedMark = 0; ///< Pushed.size() when the block was entered.
   };
+  std::vector<Reg> Pushed; ///< Variables whose stacks each frame grew.
   std::vector<Frame> Stack;
-  Stack.push_back(Frame{0, 0, {}});
+  Stack.push_back(Frame{0, 0, 0});
   bool EnterFrame = true;
   while (!Stack.empty()) {
     Frame &Fr = Stack.back();
     int BI = Fr.Block;
     IrBlock *B = F.Blocks[(size_t)BI];
     if (EnterFrame) {
+      Fr.PushedMark = Pushed.size();
       // Rename this block's instructions.
       for (IrInstr *I : B->Instrs) {
         if (I->Op == Opcode::Phi) {
-          Reg V = PhiVar[I];
+          Reg V = phiVar(I);
           Reg R = newVersion(V);
           I->Dsts[0] = R;
           Stk[V].push_back(R);
-          Fr.Pushed.push_back(V);
+          Pushed.push_back(V);
           continue;
         }
         for (Reg &A : I->Args)
@@ -298,25 +310,23 @@ size_t virgil::ssa::buildSsa(IrModule &M, IrFunction &F, const DomTree &DT,
           Reg R = newVersion(V);
           D = R;
           Stk[V].push_back(R);
-          Fr.Pushed.push_back(V);
+          Pushed.push_back(V);
         }
       }
       // Fill phi arguments in successors for this block's out-edges.
       for (int SuccIdx = 0; SuccIdx != 2; ++SuccIdx) {
-        IrBlock *S = SuccIdx == 0 ? B->Succ0 : B->Succ1;
-        if (!S)
-          continue;
-        int SI = DT.indexOf(S);
+        int SI = DT.succ(BI, SuccIdx);
         if (SI < 0)
           continue;
+        IrBlock *S = F.Blocks[(size_t)SI];
         const auto &Preds = DT.preds(SI);
         for (size_t Pos = 0; Pos != Preds.size(); ++Pos) {
-          if (Preds[Pos].Pred != B || Preds[Pos].SuccIdx != SuccIdx)
+          if (Preds[Pos].PredIdx != BI || Preds[Pos].SuccIdx != SuccIdx)
             continue;
           for (IrInstr *I : S->Instrs) {
             if (I->Op != Opcode::Phi)
               break;
-            I->Args[Pos] = top(PhiVar[I]);
+            I->Args[Pos] = top(phiVar(I));
           }
         }
       }
@@ -325,12 +335,14 @@ size_t virgil::ssa::buildSsa(IrModule &M, IrFunction &F, const DomTree &DT,
     const auto &Kids = DT.children(BI);
     if (Fr.NextChild < Kids.size()) {
       int C = Kids[Fr.NextChild++];
-      Stack.push_back(Frame{C, 0, {}});
+      Stack.push_back(Frame{C, 0, 0});
       EnterFrame = true;
       continue;
     }
-    for (auto It = Fr.Pushed.rbegin(); It != Fr.Pushed.rend(); ++It)
-      Stk[*It].pop_back();
+    while (Pushed.size() > Fr.PushedMark) {
+      Stk[Pushed.back()].pop_back();
+      Pushed.pop_back();
+    }
     Stack.pop_back();
   }
   return PhisPlaced;
@@ -340,39 +352,83 @@ size_t virgil::ssa::buildSsa(IrModule &M, IrFunction &F, const DomTree &DT,
 // SSA dead-value elimination
 //===----------------------------------------------------------------------===//
 
-size_t virgil::ssa::runSsaDce(IrFunction &F, SsaInfo &Info) {
-  (void)Info;
-  // Use counts over every argument (phi args included). Pure
-  // definitions with zero uses die; iterate to catch chains.
-  size_t Removed = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    std::map<Reg, size_t> Uses;
-    for (IrBlock *B : F.Blocks)
-      for (IrInstr *I : B->Instrs)
-        for (Reg A : I->Args)
-          ++Uses[A];
-    for (IrBlock *B : F.Blocks) {
-      auto Dead = [&](IrInstr *I) {
-        if (!isPure(I->Op) || I->Dsts.empty())
-          return false;
-        for (Reg D : I->Dsts)
-          if (Uses.count(D))
-            return false;
-        return true;
-      };
-      size_t Before = B->Instrs.size();
-      B->Instrs.erase(
-          std::remove_if(B->Instrs.begin(), B->Instrs.end(), Dead),
-          B->Instrs.end());
-      if (B->Instrs.size() != Before) {
-        Removed += Before - B->Instrs.size();
-        Changed = true;
+size_t virgil::ssa::removeDeadDefs(IrFunction &F, bool SelfMoves) {
+  // Use counts over every argument (phi args included). A pure
+  // definition whose results all have zero uses dies; its death drops
+  // its operands' counts, and a definition whose count reaches zero is
+  // rechecked — so a whole dead chain goes in one sweep, and the
+  // survivors are exactly the repeat-until-quiet fixpoint's (deletion
+  // only ever lowers counts, so the order of deletions doesn't matter).
+  // A dead cycle (a phi feeding itself) keeps its own uses and stays.
+  size_t NumRegs = F.RegTypes.size();
+  std::vector<uint32_t> Uses(NumRegs, 0);
+  // Pure definitions by register: the first defining (block, position)
+  // and a link to the next, so a multiply-defined register rechecks
+  // every definition.
+  struct Site {
+    uint32_t Block, Pos;
+    int Next;
+  };
+  std::vector<Site> Sites;
+  std::vector<int> FirstDef(NumRegs, -1);
+  for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
+    const auto &Instrs = F.Blocks[BI]->Instrs;
+    for (size_t P = 0; P != Instrs.size(); ++P) {
+      for (Reg A : Instrs[P]->Args)
+        ++Uses[A];
+      if (!isPure(Instrs[P]->Op))
+        continue;
+      for (Reg D : Instrs[P]->Dsts) {
+        Sites.push_back({(uint32_t)BI, (uint32_t)P, FirstDef[D]});
+        FirstDef[D] = (int)Sites.size() - 1;
       }
     }
   }
+  auto deadNow = [&](const IrInstr *I) {
+    if (!isPure(I->Op) || I->Dsts.empty())
+      return false;
+    for (Reg D : I->Dsts)
+      if (Uses[D])
+        return false;
+    return true;
+  };
+  // A self-move is dead even though it reads its own result.
+  auto selfMove = [&](const IrInstr *I) {
+    return SelfMoves && I->Op == Opcode::Move && I->Args[0] == I->dst();
+  };
+  std::vector<std::pair<uint32_t, uint32_t>> Work;
+  for (size_t BI = 0; BI != F.Blocks.size(); ++BI)
+    for (size_t P = 0; P != F.Blocks[BI]->Instrs.size(); ++P)
+      if (deadNow(F.Blocks[BI]->Instrs[P]) ||
+          selfMove(F.Blocks[BI]->Instrs[P]))
+        Work.push_back({(uint32_t)BI, (uint32_t)P});
+  DeadInstrs Dead(F);
+  size_t Removed = 0;
+  while (!Work.empty()) {
+    auto [BI, P] = Work.back();
+    Work.pop_back();
+    if (Dead.marked(BI, P))
+      continue;
+    Dead.mark(BI, P);
+    ++Removed;
+    for (Reg A : F.Blocks[BI]->Instrs[P]->Args) {
+      if (--Uses[A] != 0)
+        continue;
+      for (int S = FirstDef[A]; S >= 0; S = Sites[(size_t)S].Next) {
+        const Site &D = Sites[(size_t)S];
+        if (!Dead.marked(D.Block, D.Pos) &&
+            deadNow(F.Blocks[D.Block]->Instrs[D.Pos]))
+          Work.push_back({D.Block, D.Pos});
+      }
+    }
+  }
+  eraseInstrs(F, Dead);
   return Removed;
+}
+
+size_t virgil::ssa::runSsaDce(IrFunction &F, SsaInfo &Info) {
+  (void)Info;
+  return removeDeadDefs(F, /*SelfMoves=*/false);
 }
 
 //===----------------------------------------------------------------------===//
@@ -384,16 +440,13 @@ void virgil::ssa::destroySsa(IrModule &M, IrFunction &F, SsaInfo &Info,
   // Congruence-class register assignment. Untainted values collapse
   // onto their original variable's register; tainted values get a
   // fresh singleton.
-  std::map<Reg, Reg> Singleton;
+  std::vector<Reg> Singleton(F.RegTypes.size(), NoReg);
   auto classReg = [&](Reg R) -> Reg {
     if (!Info.tainted(R))
       return Info.origVar(R);
-    auto It = Singleton.find(R);
-    if (It != Singleton.end())
-      return It->second;
-    Reg Fresh = F.newReg(F.RegTypes[R]);
-    Singleton.emplace(R, Fresh);
-    return Fresh;
+    if (Singleton[R] == NoReg)
+      Singleton[R] = F.newReg(F.RegTypes[R]);
+    return Singleton[R];
   };
 
   // Tainted *parameters* still carry a caller-provided value, which a
@@ -414,8 +467,11 @@ void virgil::ssa::destroySsa(IrModule &M, IrFunction &F, SsaInfo &Info,
   }
 
   // Phi elimination: per in-edge parallel copies between class
-  // registers, critical edges split, copies sequentialized.
+  // registers, critical edges split, copies sequentialized. The edge
+  // lists are computed once: a split only redirects an edge into a
+  // block already handled, so every later block's list stays current.
   size_t OrigBlockCount = F.Blocks.size();
+  std::vector<std::vector<PredEdge>> AllPreds;
   for (size_t BI = 0; BI != OrigBlockCount; ++BI) {
     IrBlock *B = F.Blocks[BI];
     std::vector<IrInstr *> Phis;
@@ -426,7 +482,9 @@ void virgil::ssa::destroySsa(IrModule &M, IrFunction &F, SsaInfo &Info,
     }
     if (Phis.empty())
       continue;
-    auto Preds = computePredEdges(F)[B];
+    if (AllPreds.empty())
+      AllPreds = computePredEdges(F);
+    const std::vector<PredEdge> &Preds = AllPreds[BI];
     for (size_t Pos = 0; Pos != Preds.size(); ++Pos) {
       IrBlock *P = Preds[Pos].Pred;
       struct Copy {

@@ -65,7 +65,7 @@ bool ensureVirginEntry(IrModule &M, IrFunction &F) {
 
 size_t virgil::ssa::runSsaPasses(
     IrModule &M, DominatorAnalysis &DomA, SsaPassStats &Stats,
-    const std::function<void(const char *)> &DumpAfter) {
+    const std::function<void(const char *)> &DumpAfter, PassScope *Scope) {
   // Shared modules redirect metadata to equivalence representatives;
   // optimizer passes must not touch them (same guard as every pass).
   if (M.Shared)
@@ -73,20 +73,24 @@ size_t virgil::ssa::runSsaPasses(
 
   struct FnState {
     IrFunction *F;
+    size_t Index;    ///< Position in M.Functions.
+    size_t RegsIn;   ///< Register count before construction.
+    bool Changed;    ///< Anything beyond the identity round trip.
     SsaInfo Info;
   };
   std::vector<FnState> Fns;
   Fns.reserve(M.Functions.size());
 
   // Stage 1: construction.
-  for (IrFunction *F : M.Functions) {
-    if (F->Blocks.empty())
+  for (size_t FI = 0; FI != M.Functions.size(); ++FI) {
+    IrFunction *F = M.Functions[FI];
+    if (F->Blocks.empty() || !visits(Scope, FI))
       continue;
     bool CfgChanged = removeUnreachableBlocks(*F) != 0;
     CfgChanged |= ensureVirginEntry(M, *F);
     if (CfgChanged)
       DomA.invalidate(F);
-    Fns.push_back({F, {}});
+    Fns.push_back({F, FI, F->RegTypes.size(), CfgChanged, {}});
     Stats.PhisPlaced += buildSsa(M, *F, DomA.get(F), Fns.back().Info);
     maybeVerify(M, *F, "ssa construction");
   }
@@ -100,7 +104,9 @@ size_t virgil::ssa::runSsaPasses(
   // tree is recomputed before the next dominance consumer.
   for (FnState &S : Fns) {
     size_t Folded0 = Stats.BranchesFolded;
-    Changes += runSccp(M, *S.F, DomA.get(S.F), S.Info, Stats);
+    size_t N = runSccp(M, *S.F, DomA.get(S.F), S.Info, Stats);
+    Changes += N;
+    S.Changed |= N != 0;
     if (Stats.BranchesFolded != Folded0)
       DomA.invalidate(S.F);
     maybeVerify(M, *S.F, "sccp");
@@ -110,22 +116,32 @@ size_t virgil::ssa::runSsaPasses(
 
   // Stage 3: dominance-based load/store elimination.
   for (FnState &S : Fns) {
-    Changes += runLoadStoreElim(M, *S.F, DomA.get(S.F), S.Info, Stats);
+    size_t N = runLoadStoreElim(M, *S.F, DomA.get(S.F), S.Info, Stats);
+    Changes += N;
+    S.Changed |= N != 0;
     maybeVerify(M, *S.F, "loadelim");
   }
   if (DumpAfter)
     DumpAfter("loadelim");
 
   // Stage 4: sweep dead SSA values (so they place no edge copies),
-  // destruct, and compact the register file. Destruction may split
-  // critical edges — the tree is stale afterwards.
+  // destruct, and compact the register file. The tree stays valid
+  // unless destruction split a critical edge. A function none of the
+  // stages rewrote comes back byte-identical — every value returns to
+  // its variable's register and no copy is placed — unless the
+  // compaction dropped a register it had not been using.
   for (FnState &S : Fns) {
     size_t Swept = runSsaDce(*S.F, S.Info);
     Stats.InstrsRemoved += Swept;
     Changes += Swept;
+    size_t Blocks0 = S.F->Blocks.size(), Copies0 = Stats.EdgeCopies;
     destroySsa(M, *S.F, S.Info, Stats);
     compactRegisters(*S.F);
-    DomA.invalidate(S.F);
+    if (S.F->Blocks.size() != Blocks0)
+      DomA.invalidate(S.F);
+    if (S.Changed || Swept || Stats.EdgeCopies != Copies0 ||
+        S.F->Blocks.size() != Blocks0 || S.F->RegTypes.size() != S.RegsIn)
+      markChanged(Scope, S.Index);
   }
   return Changes;
 }

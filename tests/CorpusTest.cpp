@@ -7,6 +7,8 @@
 
 #include "TestUtil.h"
 #include "corpus/Corpus.h"
+#include "corpus/Generators.h"
+#include "vm/BytecodeSerializer.h"
 
 using namespace virgil;
 using namespace virgil::testing;
@@ -39,6 +41,35 @@ TEST_P(CorpusTest, UnoptimizedPipelineAgrees) {
   ASSERT_FALSE(O.Trapped) << P.Name << ": " << O.TrapMessage;
   EXPECT_EQ(O.Result, P.ExpectedResult) << P.Name;
   EXPECT_EQ(O.Output, P.ExpectedOutput) << P.Name;
+}
+
+/// The serialized bytecode of one compile of \p Source.
+std::string compiledBytes(const std::string &Name, const std::string &Source) {
+  Compiler C;
+  std::string Error;
+  auto P = C.compile(Name, Source, &Error);
+  EXPECT_NE(P, nullptr) << Name << ": " << Error;
+  return P ? serializeModule(P->bytecode()) : std::string();
+}
+
+TEST_P(CorpusTest, CompilesToTheSameBytesTwice) {
+  // Scratch containers keyed by pointer or hash must never leak their
+  // iteration order into the output: two compiles in one process (with
+  // different heap addresses) give the same bytes.
+  const corpus::CorpusProgram &P = GetParam();
+  EXPECT_EQ(compiledBytes(P.Name, P.Source), compiledBytes(P.Name, P.Source));
+}
+
+TEST(CompileDeterminism, GeneratedWorkloadsCompileToTheSameBytesTwice) {
+  const std::pair<const char *, std::string> Workloads[] = {
+      {"throughput34", corpus::genThroughputProgram(34)},
+      {"ssa4x60", corpus::genSsaWorkload(4, 60)},
+      {"share4x7", corpus::genShareWorkload(4, 7)},
+      {"expansion4x7", corpus::genExpansionWorkload(4, 7)},
+  };
+  for (const auto &[Name, Source] : Workloads)
+    EXPECT_EQ(compiledBytes(Name, Source), compiledBytes(Name, Source))
+        << Name;
 }
 
 std::string corpusName(

@@ -7,7 +7,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "ir/IrPrinter.h"
 #include "ir/IrStats.h"
+#include "opt/PassManager.h"
 
 using namespace virgil;
 using namespace virgil::testing;
@@ -278,6 +280,66 @@ def main() -> int {
 }
 )",
                                 42);
+}
+
+//===----------------------------------------------------------------------===//
+// The dense DCE's use-count worklist
+//===----------------------------------------------------------------------===//
+
+TEST(OptTest, DceRemovesDeadChainInOneCall) {
+  // Each link only becomes dead once the next one is gone: the old
+  // repeat-until-quiet sweep needed 65 passes, the worklist needs one
+  // call and must remove exactly what the sweep did.
+  TypeStore Types;
+  IrModule M(Types), Ref(Types);
+  IrFunction *F = buildDeadChain(M, Types, "chain", 64);
+  IrFunction *R = buildDeadChain(Ref, Types, "chain", 64);
+  size_t Expected = sweepDeadToFixpoint(*R, /*SelfMoves=*/true);
+  EXPECT_EQ(Expected, 65u) << "the constant and 64 links";
+  OptStats Stats;
+  EXPECT_EQ(eliminateDeadCode(M, Stats), Expected);
+  EXPECT_EQ(Stats.InstrsRemoved, Expected);
+  EXPECT_EQ(printFunction(*F), printFunction(*R));
+  OptStats Again;
+  EXPECT_EQ(eliminateDeadCode(M, Again), 0u) << "one call is a fixpoint";
+}
+
+TEST(OptTest, DceRemovesSelfMove) {
+  // `p = move p` reads its own result, yet it is dead.
+  TypeStore Types;
+  IrModule M(Types);
+  IrFunction *F = M.newFunction("selfmove");
+  F->newReg(Types.intTy());
+  F->NumParams = 1;
+  F->RetTypes.push_back(Types.intTy());
+  IrBuilder B(M, F);
+  B.setBlock(B.newBlock());
+  B.moveInto(0, 0, Types.intTy());
+  B.ret({0});
+  OptStats Stats;
+  EXPECT_EQ(eliminateDeadCode(M, Stats), 1u);
+  ASSERT_EQ(F->Blocks[0]->Instrs.size(), 1u);
+  EXPECT_EQ(F->Blocks[0]->Instrs[0]->Op, Opcode::Ret);
+}
+
+TEST(OptTest, DceKeepsImpureDefinitionsWithUnusedResults) {
+  // A division can trap, so it stays although nothing reads it — and
+  // so does the chain feeding it.
+  TypeStore Types;
+  IrModule M(Types);
+  IrFunction *F = M.newFunction("impure");
+  F->newReg(Types.intTy());
+  F->NumParams = 1;
+  F->RetTypes.push_back(Types.intTy());
+  IrBuilder B(M, F);
+  B.setBlock(B.newBlock());
+  Reg One = B.constInt(1, Types.intTy());
+  Reg Two = B.binop(Opcode::IntAdd, One, One, Types.intTy());
+  B.binop(Opcode::IntDiv, Two, 0, Types.intTy());
+  B.ret({0});
+  OptStats Stats;
+  EXPECT_EQ(eliminateDeadCode(M, Stats), 0u);
+  EXPECT_EQ(F->Blocks[0]->Instrs.size(), 4u);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "TestUtil.h"
 
 #include "fuzz/Oracle.h"
+#include "ir/IrPrinter.h"
 #include "service/BytecodeCache.h"
 #include "ssa/Ssa.h"
 
@@ -21,8 +22,10 @@
 namespace {
 
 using namespace virgil;
+using virgil::testing::buildDeadChain;
 using virgil::testing::compileOk;
 using virgil::testing::runAllStrategies;
+using virgil::testing::sweepDeadToFixpoint;
 
 /// Compiles with the SSA mid-tier forced on or off (everything else at
 /// defaults) and returns the program; optionally sums the two opt
@@ -350,11 +353,12 @@ TEST(SsaTest, CacheKeyDistinguishesSsa) {
 }
 
 TEST(SsaTest, PassSkipSchedulerReportsSkips) {
-  // The changed-bit scheduler: once the module quiesces, later rounds
-  // skip passes whose inputs did not change, and the skips surface in
-  // OptStats. (A straight-line body quiesces after one round; loopy
-  // functions keep regenerating edge copies for destruction, so they
-  // legitimately re-run the sandwich each round.)
+  // The per-function schedule: a pass skips a function whose input has
+  // not changed since its last visit there found nothing to do, and
+  // the skipped (pass, function) visits surface in OptStats. (A
+  // straight-line body quiesces after one round; loopy functions keep
+  // regenerating edge copies for destruction, so they legitimately
+  // re-run the sandwich each round.)
   const char *Src = R"(
 class P {
   var x: int;
@@ -369,6 +373,109 @@ def main() -> int {
   auto P = compileWithSsa(Src, /*Ssa=*/true, &On);
   ASSERT_NE(P, nullptr);
   EXPECT_GT(On.PassRunsSkipped, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// SSA-DCE's use-count worklist
+//===----------------------------------------------------------------------===//
+
+TEST(SsaTest, SsaDceRemovesDeadChainInOneCall) {
+  TypeStore Types;
+  IrModule M(Types), Ref(Types);
+  IrFunction *F = buildDeadChain(M, Types, "chain", 64);
+  IrFunction *R = buildDeadChain(Ref, Types, "chain", 64);
+  size_t Expected = sweepDeadToFixpoint(*R, /*SelfMoves=*/false);
+  EXPECT_EQ(Expected, 65u) << "the constant and 64 links";
+  ssa::SsaInfo Info;
+  EXPECT_EQ(ssa::runSsaDce(*F, Info), Expected);
+  EXPECT_EQ(printFunction(*F), printFunction(*R));
+}
+
+/// `Name(c: bool) -> int`: a loop whose phi and increment only feed
+/// each other — dead, but each keeps the other's use count above zero.
+IrFunction *buildDeadPhiCycle(IrModule &M, TypeStore &Types) {
+  IrFunction *F = M.newFunction("cycle");
+  F->newReg(Types.boolTy());
+  F->NumParams = 1;
+  F->RetTypes.push_back(Types.intTy());
+  IrBuilder B(M, F);
+  IrBlock *Entry = B.newBlock(), *Head = B.newBlock(), *Body = B.newBlock(),
+          *Exit = B.newBlock();
+  B.setBlock(Entry);
+  Reg Zero = B.constInt(0, Types.intTy());
+  B.br(Head);
+  B.setBlock(Head);
+  Reg Acc = F->newReg(Types.intTy()), Next = F->newReg(Types.intTy());
+  B.emit(Opcode::Phi, {Acc}, {Zero, Next}, Types.intTy());
+  B.condBr(0, Body, Exit);
+  B.setBlock(Body);
+  B.emit(Opcode::IntAdd, {Next}, {Acc, Zero}, Types.intTy());
+  B.br(Head);
+  B.setBlock(Exit);
+  B.ret({Zero});
+  return F;
+}
+
+TEST(SsaTest, SsaDceKeepsDeadPhiCycle) {
+  // Use counts cannot see that a cycle is dead as a whole; the sweep
+  // has always left such cycles alone, and so does the worklist.
+  TypeStore Types;
+  IrModule M(Types);
+  IrFunction *F = buildDeadPhiCycle(M, Types);
+  ssa::SsaInfo Info;
+  EXPECT_EQ(ssa::runSsaDce(*F, Info), 0u);
+  EXPECT_EQ(countOpcode(*F, Opcode::Phi), 1u);
+  EXPECT_EQ(countOpcode(*F, Opcode::IntAdd), 1u);
+}
+
+TEST(SsaTest, SsaDceKeepsImpureDefinitionsWithUnusedResults) {
+  TypeStore Types;
+  IrModule M(Types);
+  IrFunction *F = buildDeadChain(M, Types, "impure", 3);
+  IrBuilder B(M, F);
+  B.setBlock(F->Blocks[0]);
+  // Divide by the last link just before the return: a division can
+  // trap, so it and the chain feeding it stay.
+  IrInstr *Ret = F->Blocks[0]->Instrs.back();
+  F->Blocks[0]->Instrs.pop_back();
+  Reg Last = F->Blocks[0]->Instrs.back()->dst();
+  B.binop(Opcode::IntDiv, 0, Last, Types.intTy());
+  F->Blocks[0]->Instrs.push_back(Ret);
+  ssa::SsaInfo Info;
+  EXPECT_EQ(ssa::runSsaDce(*F, Info), 0u);
+  EXPECT_EQ(F->Blocks[0]->Instrs.size(), 6u);
+}
+
+//===----------------------------------------------------------------------===//
+// Dominator-tree cache
+//===----------------------------------------------------------------------===//
+
+TEST(SsaTest, StaleDominatorTreeAbortsUnderVerification) {
+  // With strict-SSA verification on, a cached tree is recomputed on
+  // every hit: a pass that reshapes a CFG without invalidating its
+  // tree aborts, naming the function, instead of handing stale
+  // dominance to the next consumer.
+  TypeStore Types;
+  IrModule M(Types);
+  IrFunction *F = buildDeadPhiCycle(M, Types);
+  ssa::DominatorAnalysis DA;
+  IrBlock *Exit = F->Blocks[3];
+  EXPECT_EQ(DA.get(F).idom(3), 1);
+  // Send the entry straight to the exit: the loop becomes unreachable
+  // and the exit's idom becomes the entry.
+  F->Blocks[0]->Succ0 = Exit;
+  EXPECT_DEATH(
+      {
+        ssa::setSsaVerifyEnabled(true);
+        DA.get(F);
+      },
+      "stale dominator tree for 'cycle'");
+  bool Was = ssa::ssaVerifyEnabled();
+  ssa::setSsaVerifyEnabled(true);
+  DA.invalidate(F);
+  EXPECT_EQ(DA.get(F).idom(3), 0);
+  EXPECT_EQ(DA.get(F).idom(3), 0) << "a valid cached tree passes the check";
+  ssa::setSsaVerifyEnabled(Was);
 }
 
 } // namespace

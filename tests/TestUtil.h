@@ -11,8 +11,11 @@
 #define VIRGIL_TESTS_TESTUTIL_H
 
 #include "core/Compiler.h"
+#include "ir/IrBuilder.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 namespace virgil {
 namespace testing {
@@ -124,6 +127,56 @@ inline void expectTrap(const std::string &Source,
   if (!Needle.empty()) {
     EXPECT_NE(O.TrapMessage.find(Needle), std::string::npos)
         << "trap message: " << O.TrapMessage;
+  }
+}
+
+/// Builds `Name(p: int)` whose body is a chain of \p Links pure
+/// definitions nobody reads — c = 1, then each link adds the previous
+/// value to itself — before `return p`.
+inline IrFunction *buildDeadChain(IrModule &M, TypeStore &Types,
+                                  const std::string &Name, size_t Links) {
+  IrFunction *F = M.newFunction(Name);
+  F->newReg(Types.intTy());
+  F->NumParams = 1;
+  F->RetTypes.push_back(Types.intTy());
+  IrBuilder B(M, F);
+  B.setBlock(B.newBlock());
+  Reg Prev = B.constInt(1, Types.intTy());
+  for (size_t I = 0; I != Links; ++I)
+    Prev = B.binop(Opcode::IntAdd, Prev, Prev, Types.intTy());
+  B.ret({0});
+  return F;
+}
+
+/// The repeat-until-quiet sweep the use-count worklist DCEs replaced:
+/// recount every use, delete each pure definition none of whose results
+/// is read (and, with \p SelfMoves, each `x = move x`), and go again
+/// until a sweep deletes nothing. Returns instructions removed.
+inline size_t sweepDeadToFixpoint(IrFunction &F, bool SelfMoves) {
+  size_t Removed = 0;
+  for (;;) {
+    std::set<Reg> Used;
+    for (IrBlock *B : F.Blocks)
+      for (IrInstr *I : B->Instrs)
+        Used.insert(I->Args.begin(), I->Args.end());
+    size_t Before = Removed;
+    for (IrBlock *B : F.Blocks) {
+      std::vector<IrInstr *> Kept;
+      for (IrInstr *I : B->Instrs) {
+        bool Dead = isPure(I->Op) && !I->Dsts.empty();
+        for (Reg D : I->Dsts)
+          Dead = Dead && !Used.count(D);
+        Dead = Dead || (SelfMoves && I->Op == Opcode::Move &&
+                        I->Args[0] == I->dst());
+        if (Dead)
+          ++Removed;
+        else
+          Kept.push_back(I);
+      }
+      B->Instrs = std::move(Kept);
+    }
+    if (Removed == Before)
+      return Removed;
   }
 }
 

@@ -250,7 +250,7 @@ static int runBatch(int Argc, char **Argv) {
                 S.Opt.DevirtualizedByCha, S.Opt.CallsInlined);
     std::printf("ssa: %s, %zu phis placed, %zu sccp folds, %zu loads "
                 "eliminated, %zu stores killed, %zu null checks "
-                "removed; %zu pass runs skipped\n",
+                "removed; %zu pass visits skipped\n",
                 Options.Compile.Opt.Ssa ? "on" : "off", S.Opt.PhisPlaced,
                 S.Opt.SccpFolded, S.Opt.LoadsEliminated,
                 S.Opt.StoresKilled, S.Opt.NullChecksRemoved,
@@ -511,7 +511,7 @@ int main(int Argc, char **Argv) {
                 Opt.CallsInlined);
     std::printf("ssa: %s, %zu phis placed, %zu sccp folds, %zu loads "
                 "eliminated, %zu stores killed, %zu null checks "
-                "removed; %zu pass runs skipped\n",
+                "removed; %zu pass visits skipped\n",
                 Options.Opt.Ssa ? "on" : "off", Opt.PhisPlaced,
                 Opt.SccpFolded, Opt.LoadsEliminated, Opt.StoresKilled,
                 Opt.NullChecksRemoved, Opt.PassRunsSkipped);
