@@ -104,7 +104,7 @@ int main(int argc, char **argv) {
   }
 
   std::printf("\n-- cold per-phase breakdown (jobs=1, summed) --\n%s\n",
-              Rows[0].ColdPhases.toString().c_str());
+              countersText(Rows[0].ColdPhases).c_str());
   std::printf("\n-- JSON --\n");
   for (const Row &R : Rows)
     std::printf("{\"experiment\":\"e11_service\",\"jobs\":%d,"

@@ -40,70 +40,7 @@ private:
   Clock::time_point Last;
 };
 
-/// Folds one optimizer invocation's per-pass wall times into the
-/// compile-wide breakdown (both opt phases accumulate into the same
-/// fields; OptMonoMs/OptNormMs remain the per-phase totals).
-void bankPassTimes(PhaseTimings &T, const OptStats &S) {
-  T.PassDevirtMs += S.DevirtMs;
-  T.PassInlineMs += S.InlineMs;
-  T.PassDceMs += S.DceMs;
-  T.PassEscapeMs += S.EscapeMs;
-  T.PassDeadFieldsMs += S.DeadFieldsMs;
-  T.PassSsaMs += S.SsaMs;
-}
-
 } // namespace
-
-PhaseTimings &PhaseTimings::operator+=(const PhaseTimings &O) {
-  ParseMs += O.ParseMs;
-  SemaMs += O.SemaMs;
-  LowerMs += O.LowerMs;
-  MonoMs += O.MonoMs;
-  OptMonoMs += O.OptMonoMs;
-  NormMs += O.NormMs;
-  OptNormMs += O.OptNormMs;
-  ShareMs += O.ShareMs;
-  EmitMs += O.EmitMs;
-  TotalMs += O.TotalMs;
-  PassDevirtMs += O.PassDevirtMs;
-  PassInlineMs += O.PassInlineMs;
-  PassDceMs += O.PassDceMs;
-  PassEscapeMs += O.PassEscapeMs;
-  PassDeadFieldsMs += O.PassDeadFieldsMs;
-  PassSsaMs += O.PassSsaMs;
-  return *this;
-}
-
-std::string PhaseTimings::toString() const {
-  char Buf[512];
-  std::snprintf(Buf, sizeof(Buf),
-                "parse %.2fms sema %.2fms lower %.2fms mono %.2fms "
-                "opt-mono %.2fms norm %.2fms opt-norm %.2fms share %.2fms "
-                "emit %.2fms total %.2fms (passes: devirt %.2f inline %.2f "
-                "dce %.2f escape %.2f deadfields %.2f ssa %.2f)",
-                ParseMs, SemaMs, LowerMs, MonoMs, OptMonoMs, NormMs,
-                OptNormMs, ShareMs, EmitMs, TotalMs, PassDevirtMs,
-                PassInlineMs, PassDceMs, PassEscapeMs, PassDeadFieldsMs,
-                PassSsaMs);
-  return Buf;
-}
-
-std::string PhaseTimings::toJson() const {
-  char Buf[1024];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"parse_ms\":%.3f,\"sema_ms\":%.3f,\"lower_ms\":%.3f,"
-                "\"mono_ms\":%.3f,\"opt_mono_ms\":%.3f,\"norm_ms\":%.3f,"
-                "\"opt_norm_ms\":%.3f,\"share_ms\":%.3f,\"emit_ms\":%.3f,"
-                "\"total_ms\":%.3f,\"pass_devirt_ms\":%.3f,"
-                "\"pass_inline_ms\":%.3f,\"pass_dce_ms\":%.3f,"
-                "\"pass_escape_ms\":%.3f,\"pass_deadfields_ms\":%.3f,"
-                "\"pass_ssa_ms\":%.3f}",
-                ParseMs, SemaMs, LowerMs, MonoMs, OptMonoMs, NormMs,
-                OptNormMs, ShareMs, EmitMs, TotalMs, PassDevirtMs,
-                PassInlineMs, PassDceMs, PassEscapeMs, PassDeadFieldsMs,
-                PassSsaMs);
-  return Buf;
-}
 
 Program::Program() = default;
 Program::~Program() = default;
@@ -218,10 +155,8 @@ std::unique_ptr<Program> Compiler::compile(const std::string &Name,
     }
     return optimizeModule(M, OO);
   };
-  if (Options.Optimize) {
+  if (Options.Optimize)
     P->Stats.OptAfterMono = OptWithDump(*P->MonoIr, "opt-mono");
-    bankPassTimes(P->Stats.Timings, P->Stats.OptAfterMono);
-  }
   P->Stats.MonoIr = computeStats(*P->MonoIr);
   Timer.mark(&PhaseTimings::OptMonoMs);
 
@@ -235,10 +170,8 @@ std::unique_ptr<Program> Compiler::compile(const std::string &Name,
       return internalFail(Problems, "normalization");
   }
   Timer.mark(&PhaseTimings::NormMs);
-  if (Options.Optimize) {
+  if (Options.Optimize)
     P->Stats.OptAfterNorm = OptWithDump(*P->NormIr, "opt-norm");
-    bankPassTimes(P->Stats.Timings, P->Stats.OptAfterNorm);
-  }
   Timer.mark(&PhaseTimings::OptNormMs);
 
   // Share identical specializations (bounds §4.3 code expansion). Runs

@@ -64,38 +64,6 @@ struct CompilerOptions {
   std::string DumpIrAfter;
 };
 
-/// Wall-clock milliseconds spent in each pipeline phase of one
-/// compilation. The compile service aggregates these across a batch to
-/// report where compile time goes (and what a cache hit skips).
-struct PhaseTimings {
-  double ParseMs = 0;
-  double SemaMs = 0;
-  double LowerMs = 0;
-  double MonoMs = 0;
-  double OptMonoMs = 0;
-  double NormMs = 0;
-  double OptNormMs = 0;
-  double ShareMs = 0;
-  double EmitMs = 0;
-  double TotalMs = 0;
-  /// Per-pass breakdown of the two opt phases (summed across rounds
-  /// and both optimizeModule calls); the whole-phase OptMonoMs /
-  /// OptNormMs stay authoritative for totals.
-  double PassDevirtMs = 0;
-  double PassInlineMs = 0;
-  double PassDceMs = 0;
-  double PassEscapeMs = 0;
-  double PassDeadFieldsMs = 0;
-  double PassSsaMs = 0;
-
-  PhaseTimings &operator+=(const PhaseTimings &O);
-  /// One line, e.g. "parse 0.12ms sema 0.34ms ... total 1.23ms".
-  std::string toString() const;
-  /// One flat JSON object, e.g. {"parse_ms":0.12,...,"total_ms":1.23}.
-  /// Rides in server execute responses and the STATS surface.
-  std::string toJson() const;
-};
-
 struct PipelineStats {
   MonoStats Mono;
   ShareStats Share;

@@ -236,3 +236,21 @@ std::string virgil::axisUsage(AxisMode Mode) {
   }
   return Out;
 }
+
+std::string virgil::axisFlags(const CompilerOptions &O, AxisSet Axes,
+                              bool Json) {
+  std::string Out;
+  for (const FeatureAxis &A : FeatureAxes) {
+    if (A.Key != AxisKey::Cache || !(Axes & axisBit(A.Id)))
+      continue;
+    // Escape and SSA are optimizer passes: --no-opt runs neither.
+    bool On = axisValue(A.Id, O) != 0 && (A.Id == Axis::Share || O.Optimize);
+    if (!Out.empty())
+      Out += Json ? "," : ", ";
+    Out += Json ? "\"" : "";
+    Out += A.Name;
+    Out += Json ? (On ? "_enabled\":true" : "_enabled\":false")
+                : (On ? " on" : " off");
+  }
+  return Out;
+}

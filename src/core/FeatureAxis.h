@@ -13,7 +13,8 @@
 ///     virgild (parseAxisFlag, axisUsage);
 ///   * the option part of BytecodeCache::keyFor and
 ///     exec::Executor::poolKeyFor;
-///   * the per-axis legs of fuzz::DifferentialOracle::check.
+///   * the per-axis legs of fuzz::DifferentialOracle::check;
+///   * the "<name>_enabled" flags of the stats surfaces (axisFlags).
 ///
 /// A new axis is one row here plus its options field, and one entry in
 /// the CI stress matrix.
@@ -165,6 +166,13 @@ int parseAxisFlag(AxisMode Mode, const char *Tool, int &I, int Argc,
 /// The usage text of \p Mode's axis flags, e.g.
 /// "[--mono-share on|off] [--opt-escape on|off]".
 std::string axisUsage(AxisMode Mode);
+
+/// How \p O sets the Cache-keyed axes of \p Axes: as JSON members
+/// `"share_enabled":true,"escape_enabled":false`, or as text
+/// "share on, escape off". The optimizer's axes read off under --no-opt.
+/// Stats surfaces report these flags from configuration, so they read
+/// the same whether or not anything has compiled yet.
+std::string axisFlags(const CompilerOptions &O, AxisSet Axes, bool Json);
 
 } // namespace virgil
 

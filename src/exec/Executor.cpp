@@ -2,6 +2,8 @@
 
 #include "exec/Executor.h"
 
+#include "jit/Jit.h"
+
 #include <chrono>
 
 using namespace virgil;
@@ -49,26 +51,6 @@ uint64_t fnvMix(uint64_t H, uint64_t V) {
   return H;
 }
 
-/// Folds one run's per-run JIT deltas into the executor-lifetime
-/// totals; identical for the fresh and pooled paths.
-void accumulateJit(JitCounters &J, const VmJitStats &S) {
-  if (S.Available)
-    J.Available.store(true, std::memory_order_relaxed);
-  if (S.Enabled)
-    J.Enabled.store(true, std::memory_order_relaxed);
-  J.Compiles.fetch_add(S.Compiles, std::memory_order_relaxed);
-  J.CompileFailures.fetch_add(S.CompileFailures,
-                              std::memory_order_relaxed);
-  J.CompileNs.fetch_add(S.CompileNs, std::memory_order_relaxed);
-  J.CodeBytes.fetch_add(S.CodeBytes, std::memory_order_relaxed);
-  J.Enters.fetch_add(S.Enters, std::memory_order_relaxed);
-  J.OsrEntries.fetch_add(S.OsrEntries, std::memory_order_relaxed);
-  J.Deopts.fetch_add(S.Deopts, std::memory_order_relaxed);
-  J.IcPatches.fetch_add(S.IcPatches, std::memory_order_relaxed);
-  J.IcMegamorphic.fetch_add(S.IcMegamorphic,
-                            std::memory_order_relaxed);
-}
-
 /// Shapes the common (trap/result/output) part of the response from a
 /// finished run; identical for the fresh and pooled paths.
 void fillFromVmResult(ExecuteResponse &R, VmResult &VR) {
@@ -94,6 +76,11 @@ void fillFromVmResult(ExecuteResponse &R, VmResult &VR) {
 }
 
 } // namespace
+
+Executor::Executor(const ExecutorConfig &Config, CompileService &Service)
+    : Config(Config), Service(Service), Pool(Config.PoolSize) {
+  Totals.Jit.Available = jit::JitTier::hostSupported();
+}
 
 uint64_t Executor::poolKeyFor(const ExecuteRequest &Req,
                               uint64_t HeapBytes) const {
@@ -138,7 +125,7 @@ ExecuteResponse Executor::run(const ExecuteRequest &Req, bool ExecuteVm,
       VmResult VR = V->run();
       *ExecuteMs = msSince(E0);
       R.ExecuteMs = *ExecuteMs;
-      accumulateJit(Jit, VR.Jit);
+      addJit(VR.Jit);
       fillFromVmResult(R, VR);
       return R;
     }
@@ -152,55 +139,17 @@ ExecuteResponse Executor::run(const ExecuteRequest &Req, bool ExecuteVm,
   *CompileMs = msSince(C0);
   R.CompileMs = *CompileMs;
   R.CacheHit = JR.CacheHit;
-  R.TimingsJson = JR.CacheHit ? "{}" : JR.Timings.toJson();
+  R.TimingsJson = JR.CacheHit ? "{}" : JR.timingsJson();
   if (!JR.Ok) {
     R.O = Outcome::CompileError;
     R.Message = JR.Error;
     return R;
   }
   if (!JR.CacheHit) {
-    Mono.Compiles.fetch_add(1, std::memory_order_relaxed);
-    if (JR.Share.Enabled)
-      Mono.ShareEnabled.store(true, std::memory_order_relaxed);
-    Mono.FunctionsBefore.fetch_add(JR.Share.FunctionsBefore,
-                                   std::memory_order_relaxed);
-    Mono.FunctionsAfter.fetch_add(JR.Share.FunctionsAfter,
-                                  std::memory_order_relaxed);
-    Mono.BodiesShared.fetch_add(JR.Share.BodiesShared,
-                                std::memory_order_relaxed);
-    if (Service.options().Compile.Optimize &&
-        Service.options().Compile.Opt.Escape)
-      Opt.EscapeEnabled.store(true, std::memory_order_relaxed);
-    if (Service.options().Compile.Optimize &&
-        Service.options().Compile.Opt.Ssa)
-      Opt.SsaEnabled.store(true, std::memory_order_relaxed);
-    Opt.PhisPlaced.fetch_add(JR.Opt.PhisPlaced, std::memory_order_relaxed);
-    Opt.SccpFolded.fetch_add(JR.Opt.SccpFolded, std::memory_order_relaxed);
-    Opt.LoadsEliminated.fetch_add(JR.Opt.LoadsEliminated,
-                                  std::memory_order_relaxed);
-    Opt.StoresKilled.fetch_add(JR.Opt.StoresKilled,
-                               std::memory_order_relaxed);
-    Opt.NullChecksRemoved.fetch_add(JR.Opt.NullChecksRemoved,
-                                    std::memory_order_relaxed);
-    Opt.AllocsElided.fetch_add(JR.Opt.AllocsElided,
-                               std::memory_order_relaxed);
-    Opt.FieldsScalarized.fetch_add(JR.Opt.FieldsScalarized,
-                                   std::memory_order_relaxed);
-    Opt.ClosuresFlattened.fetch_add(JR.Opt.ClosuresFlattened,
-                                    std::memory_order_relaxed);
-    Opt.CallsDevirtualized.fetch_add(JR.Opt.CallsDevirtualized,
-                                     std::memory_order_relaxed);
-    Opt.DevirtualizedByCha.fetch_add(JR.Opt.DevirtualizedByCha,
-                                     std::memory_order_relaxed);
-    auto AddUs = [](std::atomic<uint64_t> &C, double Ms) {
-      C.fetch_add((uint64_t)(Ms * 1000.0), std::memory_order_relaxed);
-    };
-    AddUs(Opt.DevirtUs, JR.Timings.PassDevirtMs);
-    AddUs(Opt.InlineUs, JR.Timings.PassInlineMs);
-    AddUs(Opt.DceUs, JR.Timings.PassDceMs);
-    AddUs(Opt.EscapeUs, JR.Timings.PassEscapeMs);
-    AddUs(Opt.DeadFieldsUs, JR.Timings.PassDeadFieldsMs);
-    AddUs(Opt.SsaUs, JR.Timings.PassSsaMs);
+    std::lock_guard<std::mutex> Lock(TotalsMu);
+    ++Totals.Compiles;
+    Totals.Opt += JR.Opt;
+    Totals.Share += JR.Share;
   }
   if (!ExecuteVm)
     return R; // COMPILE: cache is populated, nothing to run
@@ -217,7 +166,7 @@ ExecuteResponse Executor::run(const ExecuteRequest &Req, bool ExecuteVm,
   VmResult VR = V->run();
   *ExecuteMs = msSince(E0);
   R.ExecuteMs = *ExecuteMs;
-  accumulateJit(Jit, VR.Jit);
+  addJit(VR.Jit);
   fillFromVmResult(R, VR);
   if (Pooling)
     Pool.adopt(Key, std::move(JR.Unit), std::move(V));

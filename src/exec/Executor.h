@@ -4,8 +4,8 @@
 /// The compile-and-run half of a virgild worker, factored out of the
 /// server so it can be pooled, benchmarked, and differentially tested
 /// on its own. An Executor owns one VmPool (one Executor per worker
-/// thread — no locking) and turns an ExecuteRequest into an
-/// ExecuteResponse:
+/// thread — no locking; only the STATS totals are shared, behind a
+/// mutex) and turns an ExecuteRequest into an ExecuteResponse:
 ///
 ///   1. Clamp the request's fuel/heap/deadline quotas to the
 ///      configured maxima (a client can tighten its sandbox, never
@@ -32,73 +32,29 @@
 #include "exec/VmPool.h"
 #include "server/Protocol.h"
 
-#include <atomic>
+#include <mutex>
 
 namespace virgil {
 namespace exec {
 
-/// Monomorphization/sharing totals across every front-end run this
-/// executor performed (cache and pool hits contribute nothing — no
-/// front-end ran). Relaxed atomics: written by the owning worker,
-/// sampled by the STATS path on another thread.
-struct MonoShareCounters {
-  /// Jobs that actually compiled (the denominators below).
-  std::atomic<uint64_t> Compiles{0};
-  /// Whether any compiled job ran with sharing enabled.
-  std::atomic<bool> ShareEnabled{false};
-  std::atomic<uint64_t> FunctionsBefore{0};
-  std::atomic<uint64_t> FunctionsAfter{0};
-  std::atomic<uint64_t> BodiesShared{0};
-};
+/// What STATS reports of one executor: the front-end counters of every
+/// compile it ran (cache and pool hits add nothing, no front end ran)
+/// and the JIT counters of every VM run (per-run deltas, so pooled VMs
+/// that keep their code warm are not counted twice).
+struct ExecTotals {
+  /// Jobs that actually compiled.
+  uint64_t Compiles = 0;
+  OptStats Opt;
+  ShareStats Share;
+  VmJitStats Jit;
 
-/// JIT-tier totals across every VM run this executor performed (each
-/// run reports per-run deltas, so plain summation is double-count
-/// free even for pooled VMs that keep their compiled code warm).
-/// Same sampling discipline as MonoShareCounters.
-struct JitCounters {
-  /// Whether any request VM probed the host as JIT-capable / actually
-  /// constructed the tier.
-  std::atomic<bool> Available{false};
-  std::atomic<bool> Enabled{false};
-  std::atomic<uint64_t> Compiles{0};
-  std::atomic<uint64_t> CompileFailures{0};
-  std::atomic<uint64_t> CompileNs{0};
-  std::atomic<uint64_t> CodeBytes{0};
-  std::atomic<uint64_t> Enters{0};
-  std::atomic<uint64_t> OsrEntries{0};
-  std::atomic<uint64_t> Deopts{0};
-  std::atomic<uint64_t> IcPatches{0};
-  std::atomic<uint64_t> IcMegamorphic{0};
-};
-
-/// Optimizer totals across every front-end run this executor performed
-/// (cache and pool hits contribute nothing). Same sampling discipline
-/// as MonoShareCounters.
-struct OptCounters {
-  /// Whether any compiled job ran with escape analysis enabled.
-  std::atomic<bool> EscapeEnabled{false};
-  /// Whether any compiled job ran the SSA mid-tier.
-  std::atomic<bool> SsaEnabled{false};
-  std::atomic<uint64_t> AllocsElided{0};
-  std::atomic<uint64_t> FieldsScalarized{0};
-  std::atomic<uint64_t> ClosuresFlattened{0};
-  std::atomic<uint64_t> CallsDevirtualized{0};
-  std::atomic<uint64_t> DevirtualizedByCha{0};
-  /// SSA mid-tier totals: phis placed, SCCP folds, and the memory
-  /// pass's load/store/null-check eliminations.
-  std::atomic<uint64_t> PhisPlaced{0};
-  std::atomic<uint64_t> SccpFolded{0};
-  std::atomic<uint64_t> LoadsEliminated{0};
-  std::atomic<uint64_t> StoresKilled{0};
-  std::atomic<uint64_t> NullChecksRemoved{0};
-  /// Accumulated per-pass optimizer wall time, in microseconds
-  /// (atomics can't hold doubles; STATS renders these back as ms).
-  std::atomic<uint64_t> DevirtUs{0};
-  std::atomic<uint64_t> InlineUs{0};
-  std::atomic<uint64_t> DceUs{0};
-  std::atomic<uint64_t> EscapeUs{0};
-  std::atomic<uint64_t> DeadFieldsUs{0};
-  std::atomic<uint64_t> SsaUs{0};
+  ExecTotals &operator+=(const ExecTotals &O) {
+    Compiles += O.Compiles;
+    Opt += O.Opt;
+    Share += O.Share;
+    Jit += O.Jit;
+    return *this;
+  }
 };
 
 struct ExecutorConfig {
@@ -127,8 +83,7 @@ struct ExecutorConfig {
 
 class Executor {
 public:
-  Executor(const ExecutorConfig &Config, CompileService &Service)
-      : Config(Config), Service(Service), Pool(Config.PoolSize) {}
+  Executor(const ExecutorConfig &Config, CompileService &Service);
 
   /// Serves one request end to end. \p ExecuteVm distinguishes
   /// EXECUTE from COMPILE: compile-only requests stop after the cache
@@ -139,21 +94,29 @@ public:
                               double *ExecuteMs);
 
   const VmPoolStats &poolStats() const { return Pool.stats(); }
-  const MonoShareCounters &monoStats() const { return Mono; }
-  const OptCounters &optStats() const { return Opt; }
-  const JitCounters &jitStats() const { return Jit; }
+  /// A copy of the totals; safe from any thread (STATS samples it while
+  /// the owning worker runs requests).
+  ExecTotals totals() const {
+    std::lock_guard<std::mutex> Lock(TotalsMu);
+    return Totals;
+  }
   size_t poolSize() const { return Pool.size(); }
 
 private:
   uint64_t poolKeyFor(const server::ExecuteRequest &Req,
                       uint64_t HeapBytes) const;
+  void addJit(const VmJitStats &S) {
+    std::lock_guard<std::mutex> Lock(TotalsMu);
+    Totals.Jit += S;
+  }
 
   ExecutorConfig Config;
   CompileService &Service;
   VmPool Pool;
-  MonoShareCounters Mono;
-  OptCounters Opt;
-  JitCounters Jit;
+  mutable std::mutex TotalsMu;
+  /// Jit.Available starts from the host probe, so STATS reports it
+  /// before the first request.
+  ExecTotals Totals;
 };
 
 } // namespace exec

@@ -78,6 +78,7 @@ JitTier::JitTier(Vm &V, uint32_t Threshold) : V(V), Threshold(Threshold) {
     Metas[I].VirtUnbound = V.Prep.VirtUnbound[I];
   }
   installStubs();
+  Stats.CodeBytes = Arena.codeBytes();
 }
 
 //===----------------------------------------------------------------------===//
@@ -151,7 +152,7 @@ VIRGIL_JIT_NO_UBSAN int JitTier::enter(const void *Target) {
   Ctx.IcHits = V.Counters.IcHits;
   Ctx.IcMisses = V.Counters.IcMisses;
   Ctx.FusedExec = V.Counters.FusedExecuted;
-  ++Enters;
+  ++Stats.Enters;
 
   auto Fn = reinterpret_cast<uint64_t (*)(JitCtx *, const void *)>(
       (void *)EnterStub);
@@ -165,18 +166,6 @@ VIRGIL_JIT_NO_UBSAN int JitTier::enter(const void *Target) {
   V.Counters.IcMisses = Ctx.IcMisses;
   V.Counters.FusedExecuted = Ctx.FusedExec;
   return (int)Code;
-}
-
-void JitTier::fillStats(VmJitStats &S) const {
-  S.Compiles = Compiles;
-  S.CompileFailures = CompileFailures;
-  S.CompileNs = CompileNs;
-  S.CodeBytes = Arena.codeBytes();
-  S.Enters = Enters;
-  S.OsrEntries = OsrEntries;
-  S.Deopts = Deopts;
-  S.IcPatches = IcPatches;
-  S.IcMegamorphic = IcMegamorphic;
 }
 
 //===----------------------------------------------------------------------===//
@@ -264,7 +253,7 @@ uint64_t JitTier::hCallVMiss(JitCtx *C, IcSite *Site, const PDesc *D,
   if (!Site->Megamorphic) {
     if (Site->Patches >= kMaxIcPatches) {
       Site->Megamorphic = true;
-      ++T.IcMegamorphic;
+      ++T.Stats.IcMegamorphic;
     } else if (T.Arena.makeWritable(Site->ClassAddr)) {
       // Patch the compare-classId and call-target immediates in place.
       // Safe: no arena code executes while we are in a helper (flat
@@ -274,7 +263,7 @@ uint64_t JitTier::hCallVMiss(JitCtx *C, IcSite *Site, const PDesc *D,
       std::memcpy(Site->TargetAddr, &Tgt, 4);
       T.Arena.makeExecutable(Site->ClassAddr);
       ++Site->Patches;
-      ++T.IcPatches;
+      ++T.Stats.IcPatches;
     }
   }
   if (!fuelOk(C))
@@ -406,7 +395,7 @@ uint64_t JitTier::hNewObj(JitCtx *C, uint64_t RegA, uint64_t ClassId,
   ++V.Counters.HeapObjects;
   if (gcMoved(V.TheHeap, OldBase, OldColl)) {
     V.Frames.back().Pc = (uint32_t)PcNext;
-    ++C->T->Deopts;
+    ++C->T->Stats.Deopts;
     return kExitInterp;
   }
   return 0;
@@ -431,7 +420,7 @@ uint64_t JitTier::hNewArr(JitCtx *C, uint64_t RegA, uint64_t RegB,
   ++V.Counters.HeapArrays;
   if (gcMoved(V.TheHeap, OldBase, OldColl)) {
     V.Frames.back().Pc = (uint32_t)PcNext;
-    ++C->T->Deopts;
+    ++C->T->Stats.Deopts;
     return kExitInterp;
   }
   return 0;
@@ -450,7 +439,7 @@ uint64_t JitTier::hConstStr(JitCtx *C, uint64_t RegA, uint64_t StrIdx,
   C->R[RegA] = Ref;
   if (gcMoved(V.TheHeap, OldBase, OldColl)) {
     V.Frames.back().Pc = (uint32_t)PcNext;
-    ++C->T->Deopts;
+    ++C->T->Stats.Deopts;
     return kExitInterp;
   }
   return 0;
@@ -574,7 +563,7 @@ bool JitTier::compileFn(PFunc &F) {
   size_t N = F.Code.size();
   if (!ready() || N > kMaxCompileInstrs) {
     F.Gate = kNoJitGate; // permanently interpreter-only
-    ++CompileFailures;
+    ++Stats.CompileFailures;
     return false;
   }
 
@@ -1503,10 +1492,11 @@ bool JitTier::compileFn(PFunc &F) {
     A.bindTo(Br.Pos, Offs[Br.Target]);
 
   uint8_t *Entry = Arena.install(A.Buf.data(), A.Buf.size());
+  Stats.CodeBytes = Arena.codeBytes();
   if (!Entry) {
     Sites.resize(FirstSite); // deque: earlier sites keep their addresses
     F.Gate = kNoJitGate;
-    ++CompileFailures;
+    ++Stats.CompileFailures;
     return false;
   }
   for (const SitePatch &P : NewSites) {
@@ -1529,7 +1519,7 @@ bool JitTier::compileFn(PFunc &F) {
   // here on, compiled call sites may jump straight to this entry.
   Metas[(size_t)(&F - V.Prep.Funcs.data())].Entry =
       Entry + Fns.back().Offs[0];
-  ++Compiles;
-  CompileNs += nowNs() - T0;
+  ++Stats.Compiles;
+  Stats.CompileNs += nowNs() - T0;
   return true;
 }

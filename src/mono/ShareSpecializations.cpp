@@ -148,7 +148,6 @@ ShareStats virgil::shareSpecializations(IrModule &M) {
   assert(M.Monomorphized && M.Normalized &&
          "sharing requires a normalized monomorphic module");
   ShareStats Stats;
-  Stats.Enabled = true;
   Stats.FunctionsBefore = M.Functions.size();
   Stats.InstrsBefore = countInstrs(M);
 

@@ -47,37 +47,10 @@
 #ifndef VIRGIL_MONO_SHARESPECIALIZATIONS_H
 #define VIRGIL_MONO_SHARESPECIALIZATIONS_H
 
+#include "core/Counters.h"
 #include "ir/Ir.h"
 
-#include <cstddef>
-
 namespace virgil {
-
-/// Expansion bookkeeping for the sharing pass (E5/E16, batch + STATS).
-struct ShareStats {
-  bool Enabled = false;
-  size_t FunctionsBefore = 0;
-  size_t FunctionsAfter = 0;
-  /// Bodies merged away (FunctionsBefore - FunctionsAfter).
-  size_t BodiesShared = 0;
-  size_t InstrsBefore = 0;
-  size_t InstrsAfter = 0;
-
-  /// How much smaller sharing made the function table (>= 1.0).
-  double shareRatio() const {
-    return FunctionsAfter ? (double)FunctionsBefore / FunctionsAfter : 1.0;
-  }
-
-  ShareStats &operator+=(const ShareStats &O) {
-    Enabled = Enabled || O.Enabled;
-    FunctionsBefore += O.FunctionsBefore;
-    FunctionsAfter += O.FunctionsAfter;
-    BodiesShared += O.BodiesShared;
-    InstrsBefore += O.InstrsBefore;
-    InstrsAfter += O.InstrsAfter;
-    return *this;
-  }
-};
 
 /// Merges observationally identical specializations of the normalized
 /// module \p M in place, sets M.Shared, and returns the stats. Requires

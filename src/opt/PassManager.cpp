@@ -11,33 +11,6 @@
 
 using namespace virgil;
 
-OptStats &OptStats::operator+=(const OptStats &O) {
-  BranchesFolded += O.BranchesFolded;
-  CopiesPropagated += O.CopiesPropagated;
-  InstrsRemoved += O.InstrsRemoved;
-  BlocksRemoved += O.BlocksRemoved;
-  CallsInlined += O.CallsInlined;
-  CallsDevirtualized += O.CallsDevirtualized;
-  DevirtualizedByCha += O.DevirtualizedByCha;
-  FieldsRemoved += O.FieldsRemoved;
-  AllocsElided += O.AllocsElided;
-  FieldsScalarized += O.FieldsScalarized;
-  ClosuresFlattened += O.ClosuresFlattened;
-  PhisPlaced += O.PhisPlaced;
-  SccpFolded += O.SccpFolded;
-  LoadsEliminated += O.LoadsEliminated;
-  StoresKilled += O.StoresKilled;
-  NullChecksRemoved += O.NullChecksRemoved;
-  PassRunsSkipped += O.PassRunsSkipped;
-  DevirtMs += O.DevirtMs;
-  InlineMs += O.InlineMs;
-  DceMs += O.DceMs;
-  EscapeMs += O.EscapeMs;
-  DeadFieldsMs += O.DeadFieldsMs;
-  SsaMs += O.SsaMs;
-  return *this;
-}
-
 OptStats virgil::optimizeModule(IrModule &M, const OptOptions &Options) {
   OptStats Stats;
   using Clock = std::chrono::steady_clock;
@@ -149,17 +122,7 @@ OptStats virgil::optimizeModule(IrModule &M, const OptOptions &Options) {
     if (Options.Ssa)
       Changed |= Run(PSsa, &OptStats::SsaMs, "ssa-out", [&](PassScope *S) {
         // The sandwich's stages handle their own tree invalidation.
-        ssa::SsaPassStats SS;
-        size_t N = ssa::runSsaPasses(M, DomA, SS, Options.DumpAfter, S);
-        Stats.PhisPlaced += SS.PhisPlaced;
-        Stats.SccpFolded += SS.SccpFolded;
-        Stats.BranchesFolded += SS.BranchesFolded;
-        Stats.CopiesPropagated += SS.CopiesPropagated;
-        Stats.LoadsEliminated += SS.LoadsEliminated;
-        Stats.StoresKilled += SS.StoresKilled;
-        Stats.NullChecksRemoved += SS.NullChecksRemoved;
-        Stats.InstrsRemoved += SS.InstrsRemoved;
-        return N;
+        return ssa::runSsaPasses(M, DomA, Stats, Options.DumpAfter, S);
       });
     if (Options.Dce)
       Changed |= Run(PDce, &OptStats::DceMs, "dce", [&](PassScope *S) {

@@ -32,6 +32,7 @@
 #ifndef VIRGIL_OPT_PASSMANAGER_H
 #define VIRGIL_OPT_PASSMANAGER_H
 
+#include "core/Counters.h"
 #include "core/FeatureAxis.h"
 #include "ir/Ir.h"
 
@@ -70,46 +71,6 @@ struct OptOptions {
 inline constexpr const char *OptPassNames[] = {
     "devirt", "inline", "ssa",    "sccp",      "loadelim",
     "ssa-out", "dce",   "escape", "deadfields"};
-
-struct OptStats {
-  size_t BranchesFolded = 0;
-  size_t CopiesPropagated = 0;
-  size_t InstrsRemoved = 0;
-  size_t BlocksRemoved = 0;
-  size_t CallsInlined = 0;
-  size_t CallsDevirtualized = 0;
-  /// Devirtualized because CHA found a single implementer (as opposed
-  /// to an exact-receiver proof); subset of CallsDevirtualized.
-  size_t DevirtualizedByCha = 0;
-  size_t FieldsRemoved = 0;
-  /// Escape analysis: heap allocations deleted, field registers
-  /// created for them, and closures turned into direct calls.
-  size_t AllocsElided = 0;
-  size_t FieldsScalarized = 0;
-  size_t ClosuresFlattened = 0;
-  /// SSA mid-tier: phis placed by construction, instructions folded by
-  /// SCCP, loads reused / stores killed / null checks deleted by the
-  /// dominance-based memory pass.
-  size_t PhisPlaced = 0;
-  size_t SccpFolded = 0;
-  size_t LoadsEliminated = 0;
-  size_t StoresKilled = 0;
-  size_t NullChecksRemoved = 0;
-  /// (pass, function) visits skipped by the per-function schedule:
-  /// nothing the pass reads of that function had changed since its
-  /// last visit there found nothing to do. A skipped dead-field run
-  /// counts one skip per function.
-  size_t PassRunsSkipped = 0;
-  /// Wall-clock milliseconds per pass, summed over rounds.
-  double DevirtMs = 0;
-  double InlineMs = 0;
-  double DceMs = 0;
-  double EscapeMs = 0;
-  double DeadFieldsMs = 0;
-  double SsaMs = 0;
-
-  OptStats &operator+=(const OptStats &O);
-};
 
 /// Individual passes; each returns the number of changes made. The
 /// passes taking a DominatorAnalysis use the shared memoized dominator

@@ -89,11 +89,7 @@ void ServerMetrics::onRequestDone(int Worker, bool IsExecute, Outcome O,
 
 std::string ServerMetrics::toJson(double UptimeMs, size_t QueueDepth,
                                   size_t QueueCap, size_t ActiveConns,
-                                  const std::string &CacheJson,
-                                  const std::string &ExecJson,
-                                  const std::string &MonoJson,
-                                  const std::string &OptJson,
-                                  const std::string &JitJson) const {
+                                  const std::string &Sections) const {
   // Merge every shard into one flat aggregate, locking each shard only
   // for its own copy-out. Per-worker stats are captured alongside.
   MetricsShard Agg;
@@ -200,16 +196,5 @@ std::string ServerMetrics::toJson(double UptimeMs, size_t QueueDepth,
                 (unsigned long long)Agg.GcPauseNsTotal);
   J += Buf;
 
-  if (!ExecJson.empty())
-    J += ",\"exec\":" + ExecJson;
-  if (!MonoJson.empty())
-    J += ",\"mono\":" + MonoJson;
-  if (!OptJson.empty())
-    J += ",\"opt\":" + OptJson;
-  if (!JitJson.empty())
-    J += ",\"jit\":" + JitJson;
-  if (!CacheJson.empty())
-    J += ",\"cache\":" + CacheJson;
-  J += "}";
-  return J;
+  return J + Sections + "}";
 }

@@ -143,15 +143,11 @@ public:
 
   /// Renders the full STATS JSON document by merging every shard.
   /// \p QueueDepth/\p QueueCap/\p ActiveConns are sampled by the
-  /// caller at snapshot time, as are \p CacheJson, \p ExecJson,
-  /// \p MonoJson, and \p OptJson — the "cache", "exec", "mono", and
-  /// "opt" sections (one JSON object each), empty to omit.
+  /// caller at snapshot time, as are \p Sections: the sections the
+  /// server owns ("exec", "mono", "opt", "jit", "cache"), appended as
+  /// `,"name":{...}` members.
   std::string toJson(double UptimeMs, size_t QueueDepth, size_t QueueCap,
-                     size_t ActiveConns, const std::string &CacheJson,
-                     const std::string &ExecJson = std::string(),
-                     const std::string &MonoJson = std::string(),
-                     const std::string &OptJson = std::string(),
-                     const std::string &JitJson = std::string()) const;
+                     size_t ActiveConns, const std::string &Sections) const;
 
 private:
   MetricsShard &loopShard(int Shard) const {

@@ -571,15 +571,68 @@ void Server::workerLoop(int WorkerId) {
 //===----------------------------------------------------------------------===//
 
 std::string Server::statsJson() const {
-  std::string CacheJson;
+  // Exec section: warm-VM pool totals across workers + the front-end
+  // shape. Pool stats are relaxed atomics, safe to sample here.
+  uint64_t Hits = 0, Misses = 0, Evictions = 0, Drops = 0, Resident = 0;
+  for (const auto &E : Execs) {
+    const exec::VmPoolStats &PS = E->poolStats();
+    Hits += PS.Hits.load(std::memory_order_relaxed);
+    Misses += PS.Misses.load(std::memory_order_relaxed);
+    Evictions += PS.Evictions.load(std::memory_order_relaxed);
+    Drops += PS.Drops.load(std::memory_order_relaxed);
+    Resident += PS.Resident.load(std::memory_order_relaxed);
+  }
+  uint64_t Probes = Hits + Misses;
+  double HitPct = Probes ? 100.0 * (double)Hits / (double)Probes : 0;
+  const char *Backend =
+      Shards.empty() ? (net::Poller::epollAvailable() ? "epoll" : "poll")
+                     : Shards.front()->Poll.backendName();
+  char Buf[512];
+  std::snprintf(
+      Buf, sizeof(Buf),
+      ",\"exec\":{\"io_threads\":%zu,\"poller\":\"%s\",\"vm_pool\":{"
+      "\"enabled\":%s,\"per_worker_cap\":%zu,\"resident\":%llu,"
+      "\"hits\":%llu,\"misses\":%llu,\"hit_rate_pct\":%.1f,"
+      "\"evictions\":%llu,\"drops\":%llu}}",
+      Shards.empty() ? (size_t)Config.IoThreads : Shards.size(), Backend,
+      Config.Exec.UsePool ? "true" : "false", Config.Exec.PoolSize,
+      (unsigned long long)Resident, (unsigned long long)Hits,
+      (unsigned long long)Misses, HitPct, (unsigned long long)Evictions,
+      (unsigned long long)Drops);
+  std::string Sections = Buf;
+
+  // The mono, opt and jit sections: every worker's ExecTotals, summed,
+  // plus the configuration they ran under.
+  exec::ExecTotals T;
+  for (const auto &E : Execs)
+    T += E->totals();
+  const CompilerOptions &CO = Service->options().Compile;
+  std::snprintf(Buf, sizeof(Buf), ",\"compiles\":%llu,",
+                (unsigned long long)T.Compiles);
+  Sections += ",\"mono\":{" + axisFlags(CO, axisBit(Axis::Share), true) +
+              Buf + countersJson(T.Share);
+  std::snprintf(Buf, sizeof(Buf), ",\"share_ratio\":%.2f}",
+                T.Share.shareRatio());
+  Sections += Buf;
+  Sections += ",\"opt\":{" +
+              axisFlags(CO, axisBit(Axis::Escape) | axisBit(Axis::Ssa), true) +
+              "," + countersJson(T.Opt) + "}";
+  const VmOptions::JitMode Jit = Config.Exec.Vm.Jit;
+  std::snprintf(Buf, sizeof(Buf),
+                ",\"jit\":{\"mode\":\"%s\",\"threshold\":%u,",
+                Jit == VmOptions::JitMode::On    ? "on"
+                : Jit == VmOptions::JitMode::Off ? "off"
+                                                 : "auto",
+                Config.Exec.Vm.JitThreshold);
+  Sections += Buf + countersJson(T.Jit) + "}";
+
   if (BytecodeCache *Cache = Service->cache()) {
     CacheStats CS = Cache->stats();
     uint64_t Probes = CS.Hits + CS.Misses;
     double HitPct = Probes ? 100.0 * (double)CS.Hits / (double)Probes : 0;
-    char Buf[384];
     std::snprintf(
         Buf, sizeof(Buf),
-        "{\"hits\":%llu,\"misses\":%llu,\"stores\":%llu,"
+        ",\"cache\":{\"hits\":%llu,\"misses\":%llu,\"stores\":%llu,"
         "\"hit_rate_pct\":%.1f,\"corrupt_evictions\":%llu,"
         "\"version_evictions\":%llu,\"capacity_evictions\":%llu,"
         "\"disk_bytes\":%llu,\"max_bytes\":%llu,"
@@ -593,175 +646,7 @@ std::string Server::statsJson() const {
         (unsigned long long)Cache->maxBytes(),
         (unsigned long long)CS.SharedBodies,
         (unsigned long long)CS.CacheBytesSaved);
-    CacheJson = Buf;
-  }
-
-  // Mono section: monomorphization/sharing totals across every
-  // front-end run any worker performed. Relaxed atomics, safe to
-  // sample here; cache and pool hits contribute nothing (by design —
-  // their front-end never ran).
-  std::string MonoJson;
-  {
-    uint64_t Compiles = 0, FnsBefore = 0, FnsAfter = 0, Bodies = 0;
-    bool ShareOn = false;
-    for (const auto &E : Execs) {
-      const exec::MonoShareCounters &MS = E->monoStats();
-      Compiles += MS.Compiles.load(std::memory_order_relaxed);
-      ShareOn |= MS.ShareEnabled.load(std::memory_order_relaxed);
-      FnsBefore += MS.FunctionsBefore.load(std::memory_order_relaxed);
-      FnsAfter += MS.FunctionsAfter.load(std::memory_order_relaxed);
-      Bodies += MS.BodiesShared.load(std::memory_order_relaxed);
-    }
-    double Ratio = FnsAfter ? (double)FnsBefore / (double)FnsAfter : 1.0;
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf),
-                  "{\"share_enabled\":%s,\"compiles\":%llu,"
-                  "\"functions_before_share\":%llu,"
-                  "\"functions_after_share\":%llu,"
-                  "\"bodies_shared\":%llu,\"share_ratio\":%.2f}",
-                  ShareOn ? "true" : "false",
-                  (unsigned long long)Compiles,
-                  (unsigned long long)FnsBefore,
-                  (unsigned long long)FnsAfter,
-                  (unsigned long long)Bodies, Ratio);
-    MonoJson = Buf;
-  }
-
-  // Opt section: optimizer totals (escape analysis / scalar
-  // replacement and devirtualization) across every front-end run any
-  // worker performed. Same sampling discipline as the mono section.
-  std::string OptJson;
-  {
-    uint64_t Allocs = 0, Fields = 0, Closures = 0, Devirt = 0, Cha = 0;
-    uint64_t Phis = 0, Sccp = 0, Loads = 0, Stores = 0, Nulls = 0;
-    uint64_t DevirtUs = 0, InlineUs = 0, DceUs = 0, EscapeUs = 0,
-             DeadFieldsUs = 0, SsaUs = 0;
-    bool EscapeOn = false, SsaOn = false;
-    for (const auto &E : Execs) {
-      const exec::OptCounters &OC = E->optStats();
-      EscapeOn |= OC.EscapeEnabled.load(std::memory_order_relaxed);
-      SsaOn |= OC.SsaEnabled.load(std::memory_order_relaxed);
-      Allocs += OC.AllocsElided.load(std::memory_order_relaxed);
-      Fields += OC.FieldsScalarized.load(std::memory_order_relaxed);
-      Closures += OC.ClosuresFlattened.load(std::memory_order_relaxed);
-      Devirt += OC.CallsDevirtualized.load(std::memory_order_relaxed);
-      Cha += OC.DevirtualizedByCha.load(std::memory_order_relaxed);
-      Phis += OC.PhisPlaced.load(std::memory_order_relaxed);
-      Sccp += OC.SccpFolded.load(std::memory_order_relaxed);
-      Loads += OC.LoadsEliminated.load(std::memory_order_relaxed);
-      Stores += OC.StoresKilled.load(std::memory_order_relaxed);
-      Nulls += OC.NullChecksRemoved.load(std::memory_order_relaxed);
-      DevirtUs += OC.DevirtUs.load(std::memory_order_relaxed);
-      InlineUs += OC.InlineUs.load(std::memory_order_relaxed);
-      DceUs += OC.DceUs.load(std::memory_order_relaxed);
-      EscapeUs += OC.EscapeUs.load(std::memory_order_relaxed);
-      DeadFieldsUs += OC.DeadFieldsUs.load(std::memory_order_relaxed);
-      SsaUs += OC.SsaUs.load(std::memory_order_relaxed);
-    }
-    char Buf[1024];
-    std::snprintf(Buf, sizeof(Buf),
-                  "{\"escape_enabled\":%s,\"ssa_enabled\":%s,"
-                  "\"allocs_elided\":%llu,"
-                  "\"fields_scalarized\":%llu,"
-                  "\"closures_flattened\":%llu,"
-                  "\"devirtualized\":%llu,"
-                  "\"devirtualized_by_cha\":%llu,"
-                  "\"phis_placed\":%llu,\"sccp_folded\":%llu,"
-                  "\"loads_eliminated\":%llu,\"stores_killed\":%llu,"
-                  "\"null_checks_removed\":%llu,"
-                  "\"pass_ms\":{\"devirt\":%.3f,\"inline\":%.3f,"
-                  "\"dce\":%.3f,\"escape\":%.3f,\"deadfields\":%.3f,"
-                  "\"ssa\":%.3f}}",
-                  EscapeOn ? "true" : "false", SsaOn ? "true" : "false",
-                  (unsigned long long)Allocs, (unsigned long long)Fields,
-                  (unsigned long long)Closures,
-                  (unsigned long long)Devirt, (unsigned long long)Cha,
-                  (unsigned long long)Phis, (unsigned long long)Sccp,
-                  (unsigned long long)Loads, (unsigned long long)Stores,
-                  (unsigned long long)Nulls,
-                  DevirtUs / 1000.0, InlineUs / 1000.0, DceUs / 1000.0,
-                  EscapeUs / 1000.0, DeadFieldsUs / 1000.0, SsaUs / 1000.0);
-    OptJson = Buf;
-  }
-
-  // Jit section: baseline-JIT tier totals across every request VM any
-  // worker ran (per-run deltas summed, so pooled VMs with warm code
-  // don't double-count). Same sampling discipline as the mono section.
-  std::string JitJson;
-  {
-    uint64_t Compiles = 0, Failures = 0, CompileNs = 0, CodeBytes = 0;
-    uint64_t Enters = 0, Osr = 0, Deopts = 0, Patches = 0, Mega = 0;
-    bool Avail = false, Enabled = false;
-    for (const auto &E : Execs) {
-      const exec::JitCounters &JC = E->jitStats();
-      Avail |= JC.Available.load(std::memory_order_relaxed);
-      Enabled |= JC.Enabled.load(std::memory_order_relaxed);
-      Compiles += JC.Compiles.load(std::memory_order_relaxed);
-      Failures += JC.CompileFailures.load(std::memory_order_relaxed);
-      CompileNs += JC.CompileNs.load(std::memory_order_relaxed);
-      CodeBytes += JC.CodeBytes.load(std::memory_order_relaxed);
-      Enters += JC.Enters.load(std::memory_order_relaxed);
-      Osr += JC.OsrEntries.load(std::memory_order_relaxed);
-      Deopts += JC.Deopts.load(std::memory_order_relaxed);
-      Patches += JC.IcPatches.load(std::memory_order_relaxed);
-      Mega += JC.IcMegamorphic.load(std::memory_order_relaxed);
-    }
-    const VmOptions::JitMode Jit = Config.Exec.Vm.Jit;
-    const char *Mode = Jit == VmOptions::JitMode::On    ? "on"
-                       : Jit == VmOptions::JitMode::Off ? "off"
-                                                        : "auto";
-    char Buf[512];
-    std::snprintf(Buf, sizeof(Buf),
-                  "{\"mode\":\"%s\",\"threshold\":%u,"
-                  "\"available\":%s,\"enabled\":%s,"
-                  "\"compiles\":%llu,\"compile_failures\":%llu,"
-                  "\"compile_ns\":%llu,\"code_bytes\":%llu,"
-                  "\"enters\":%llu,\"osr_entries\":%llu,"
-                  "\"deopts\":%llu,\"ic_patches\":%llu,"
-                  "\"ic_megamorphic\":%llu}",
-                  Mode, Config.Exec.Vm.JitThreshold, Avail ? "true" : "false",
-                  Enabled ? "true" : "false",
-                  (unsigned long long)Compiles,
-                  (unsigned long long)Failures,
-                  (unsigned long long)CompileNs,
-                  (unsigned long long)CodeBytes,
-                  (unsigned long long)Enters, (unsigned long long)Osr,
-                  (unsigned long long)Deopts,
-                  (unsigned long long)Patches, (unsigned long long)Mega);
-    JitJson = Buf;
-  }
-
-  // Exec section: warm-VM pool totals across workers + the front-end
-  // shape. Pool stats are relaxed atomics, safe to sample here.
-  std::string ExecJson;
-  {
-    uint64_t Hits = 0, Misses = 0, Evictions = 0, Drops = 0, Resident = 0;
-    for (const auto &E : Execs) {
-      const exec::VmPoolStats &PS = E->poolStats();
-      Hits += PS.Hits.load(std::memory_order_relaxed);
-      Misses += PS.Misses.load(std::memory_order_relaxed);
-      Evictions += PS.Evictions.load(std::memory_order_relaxed);
-      Drops += PS.Drops.load(std::memory_order_relaxed);
-      Resident += PS.Resident.load(std::memory_order_relaxed);
-    }
-    uint64_t Probes = Hits + Misses;
-    double HitPct = Probes ? 100.0 * (double)Hits / (double)Probes : 0;
-    const char *Backend =
-        Shards.empty() ? (net::Poller::epollAvailable() ? "epoll" : "poll")
-                       : Shards.front()->Poll.backendName();
-    char Buf[384];
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "{\"io_threads\":%zu,\"poller\":\"%s\",\"vm_pool\":{"
-        "\"enabled\":%s,\"per_worker_cap\":%zu,\"resident\":%llu,"
-        "\"hits\":%llu,\"misses\":%llu,\"hit_rate_pct\":%.1f,"
-        "\"evictions\":%llu,\"drops\":%llu}}",
-        Shards.empty() ? (size_t)Config.IoThreads : Shards.size(), Backend,
-        Config.Exec.UsePool ? "true" : "false", Config.Exec.PoolSize,
-        (unsigned long long)Resident, (unsigned long long)Hits,
-        (unsigned long long)Misses, HitPct, (unsigned long long)Evictions,
-        (unsigned long long)Drops);
-    ExecJson = Buf;
+    Sections += Buf;
   }
 
   size_t Depth = 0, Active = 0;
@@ -772,6 +657,5 @@ std::string Server::statsJson() const {
   for (const auto &S : Shards)
     Active += S->ActiveConns.load(std::memory_order_relaxed);
   size_t Cap = Config.QueueCap * (Shards.empty() ? 1 : Shards.size());
-  return Metrics.toJson(msSince(StartTime), Depth, Cap, Active, CacheJson,
-                        ExecJson, MonoJson, OptJson, JitJson);
+  return Metrics.toJson(msSince(StartTime), Depth, Cap, Active, Sections);
 }

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 
 using namespace virgil;
@@ -18,6 +19,23 @@ double msSince(Clock::time_point Start) {
 }
 
 } // namespace
+
+std::string JobResult::timingsJson() const {
+  return "{" + countersJson(Timings) + "," + countersJson(Opt) + "}";
+}
+
+std::string BatchStats::toJson(const ServiceOptions &O) const {
+  char Head[256], Tail[64];
+  std::snprintf(Head, sizeof(Head),
+                "{\"jobs\":%d,\"files\":%zu,\"ok\":%zu,\"failed\":%zu,"
+                "\"hits\":%zu,\"misses\":%zu,\"hit_rate_pct\":%.1f,",
+                O.Jobs, Jobs, Succeeded, Failed, Hits, Misses, hitRatePct());
+  std::snprintf(Tail, sizeof(Tail), ",\"share_ratio\":%.2f,\"wall_ms\":%.2f}",
+                Share.shareRatio(), WallMs);
+  return Head + axisFlags(O.Compile, ~AxisSet(0), /*Json=*/true) + "," +
+         countersJson(Share) + "," + countersJson(Opt) + "," +
+         countersJson(Phases) + Tail;
+}
 
 VmResult CompiledUnit::runVm() {
   Vm V(bytecode());

@@ -97,6 +97,10 @@ struct JobResult {
   /// inlining, ...); zero on a cache hit.
   OptStats Opt;
   std::unique_ptr<CompiledUnit> Unit;
+
+  /// The execute response's TimingsJson: one JSON object with the
+  /// PhaseTimings and OptStats rows.
+  std::string timingsJson() const;
 };
 
 struct BatchStats {
@@ -122,6 +126,11 @@ struct BatchStats {
     size_t Probes = Hits + Misses;
     return Probes == 0 ? 0.0 : 100.0 * (double)Hits / (double)Probes;
   }
+
+  /// The batch JSON line (virgilc batch's last stdout line): the job
+  /// counts, the compile axes \p O configures, and the ShareStats,
+  /// OptStats and PhaseTimings rows.
+  std::string toJson(const ServiceOptions &O) const;
 };
 
 class CompileService {

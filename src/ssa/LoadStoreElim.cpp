@@ -85,7 +85,7 @@ bool nullChecksBase(Opcode Op) {
 /// Same-block dead-store kill (see file comment for the safety rule).
 /// A store closes every other kill window before opening its own, so
 /// at most one store is pending at a time.
-size_t killDeadStores(IrFunction &F, DeadInstrs &Dead, SsaPassStats &Stats) {
+size_t killDeadStores(IrFunction &F, DeadInstrs &Dead, OptStats &Stats) {
   size_t Killed = 0;
   for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
     const auto &Instrs = F.Blocks[BI]->Instrs;
@@ -129,7 +129,7 @@ template <typename T> T &at(std::vector<T> &V, size_t I) {
 
 size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
                                      const DomTree &DT, SsaInfo &Info,
-                                     SsaPassStats &Stats) {
+                                     OptStats &Stats) {
   (void)M;
   if (F.Blocks.empty())
     return 0;

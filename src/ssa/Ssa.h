@@ -21,6 +21,7 @@
 #ifndef VIRGIL_SSA_SSA_H
 #define VIRGIL_SSA_SSA_H
 
+#include "core/Counters.h"
 #include "ir/Ir.h"
 #include "ir/PassScope.h"
 
@@ -200,19 +201,6 @@ struct SsaInfo {
   }
 };
 
-/// Counters the sandwich reports back into OptStats.
-struct SsaPassStats {
-  size_t PhisPlaced = 0;
-  size_t SccpFolded = 0;
-  size_t BranchesFolded = 0;
-  size_t CopiesPropagated = 0;
-  size_t LoadsEliminated = 0;
-  size_t StoresKilled = 0;
-  size_t NullChecksRemoved = 0;
-  size_t EdgeCopies = 0;    ///< Copies materialized by phi elimination.
-  size_t InstrsRemoved = 0; ///< Dead SSA values swept before exit.
-};
-
 /// Deletes blocks unreachable from the entry (the sandwich runs this
 /// first so construction sees a clean CFG). Returns blocks removed.
 size_t removeUnreachableBlocks(IrFunction &F);
@@ -229,14 +217,14 @@ size_t buildSsa(IrModule &M, IrFunction &F, const DomTree &DT,
 /// flow-sensitive pass, propagates copies globally (Move RAUW), and
 /// rewires statically-decided branches. Returns rewrites performed.
 size_t runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
-               SsaInfo &Info, SsaPassStats &Stats);
+               SsaInfo &Info, OptStats &Stats);
 
 /// Dominance-based load/store elimination for fields and globals:
 /// redundant FieldGet/GlobalGet reuse (scoped availability over the
 /// dominator tree with monotonic clobber clocks), same-block dead
 /// store kill, and redundant NullCheck removal. Returns rewrites.
 size_t runLoadStoreElim(IrModule &M, IrFunction &F, const DomTree &DT,
-                        SsaInfo &Info, SsaPassStats &Stats);
+                        SsaInfo &Info, OptStats &Stats);
 
 /// Deletes pure definitions none of whose results is read, chains
 /// included, with one use-count worklist; with \p SelfMoves also every
@@ -256,7 +244,7 @@ size_t runSsaDce(IrFunction &F, SsaInfo &Info);
 /// and sequentializes each edge's parallel copy (cycle-safe). After
 /// this no Opcode::Phi remains.
 void destroySsa(IrModule &M, IrFunction &F, SsaInfo &Info,
-                SsaPassStats &Stats);
+                OptStats &Stats);
 
 /// Renumbers live registers densely (parameters keep 0..NumParams-1)
 /// and drops dead RegTypes entries, bounding the frame growth SSA
@@ -271,7 +259,7 @@ size_t compactRegisters(IrFunction &F);
 /// count); marks in \p Scope every function that did not come back
 /// byte-identical.
 size_t runSsaPasses(IrModule &M, DominatorAnalysis &DomA,
-                    SsaPassStats &Stats,
+                    OptStats &Stats,
                     const std::function<void(const char *)> &DumpAfter =
                         std::function<void(const char *)>(),
                     PassScope *Scope = nullptr);

@@ -436,7 +436,7 @@ size_t virgil::ssa::runSsaDce(IrFunction &F, SsaInfo &Info) {
 //===----------------------------------------------------------------------===//
 
 void virgil::ssa::destroySsa(IrModule &M, IrFunction &F, SsaInfo &Info,
-                             SsaPassStats &Stats) {
+                             OptStats &Stats) {
   // Congruence-class register assignment. Untainted values collapse
   // onto their original variable's register; tainted values get a
   // fresh singleton.

@@ -64,7 +64,7 @@ bool ensureVirginEntry(IrModule &M, IrFunction &F) {
 } // namespace
 
 size_t virgil::ssa::runSsaPasses(
-    IrModule &M, DominatorAnalysis &DomA, SsaPassStats &Stats,
+    IrModule &M, DominatorAnalysis &DomA, OptStats &Stats,
     const std::function<void(const char *)> &DumpAfter, PassScope *Scope) {
   // Shared modules redirect metadata to equivalence representatives;
   // optimizer passes must not touch them (same guard as every pass).

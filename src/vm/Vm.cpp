@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -323,7 +324,7 @@ const void *Vm::jitEntryFor(PFunc *Fn, uint32_t Pc, bool Count) {
       return nullptr;
   }
   if (Pc)
-    ++JitT->OsrEntries;
+    ++JitT->Stats.OsrEntries;
   return JitT->entryAt(Fn->JitId, Pc);
 }
 
@@ -358,9 +359,7 @@ VmResult Vm::run() {
   // JIT state (compiled code, hotness, patched sites) deliberately
   // survives across runs of a pooled Vm; report per-run deltas so the
   // stats compose by summation like every other per-run counter.
-  VmJitStats JitBefore;
-  if (JitT)
-    JitT->fillStats(JitBefore);
+  VmJitStats JitBefore = JitT ? JitT->Stats : VmJitStats();
   if (Options.DeadlineMs) {
     DeadlineNs = (uint64_t)std::chrono::duration_cast<
                      std::chrono::nanoseconds>(
@@ -389,19 +388,32 @@ VmResult Vm::run() {
   R.Counters.FusedStatic = Prep.Stats.fusedTotal();
   R.Heap = TheHeap.stats();
   R.DispatchMode = dispatchModeName();
+  if (JitT) {
+    R.Jit = JitT->Stats;
+    R.Jit -= JitBefore;
+  }
   R.Jit.Available = JitAvailable;
   R.Jit.Enabled = JitT != nullptr;
-  if (JitT) {
-    JitT->fillStats(R.Jit);
-    R.Jit.Compiles -= JitBefore.Compiles;
-    R.Jit.CompileFailures -= JitBefore.CompileFailures;
-    R.Jit.CompileNs -= JitBefore.CompileNs;
-    R.Jit.CodeBytes -= JitBefore.CodeBytes;
-    R.Jit.Enters -= JitBefore.Enters;
-    R.Jit.OsrEntries -= JitBefore.OsrEntries;
-    R.Jit.Deopts -= JitBefore.Deopts;
-    R.Jit.IcPatches -= JitBefore.IcPatches;
-    R.Jit.IcMegamorphic -= JitBefore.IcMegamorphic;
-  }
   return R;
+}
+
+std::string virgil::vmStatsJson(const VmResult &R) {
+  const HeapStats &H = R.Heap;
+  char Buf[512];
+  std::snprintf(Buf, sizeof(Buf),
+                "{\"dispatch\":\"%s\",\"gcs\":%llu,\"gc_minor\":%llu,"
+                "\"gc_major\":%llu,\"gc_minor_pause_ns\":%llu,"
+                "\"gc_major_pause_ns\":%llu,\"gc_survival\":%.4f,"
+                "\"barrier_hits\":%llu,\"remembered_slots\":%llu,"
+                "\"trapped\":%s,",
+                R.DispatchMode.c_str(), (unsigned long long)H.Collections,
+                (unsigned long long)H.MinorCollections,
+                (unsigned long long)H.MajorCollections,
+                (unsigned long long)H.MinorPauses.SumNs,
+                (unsigned long long)H.MajorPauses.SumNs, H.survivalRate(),
+                (unsigned long long)H.BarrierHits,
+                (unsigned long long)H.RememberedSlots,
+                R.Trapped ? "true" : "false");
+  return Buf + countersJson(R.Counters) + "," + countersJson(R.Jit, "jit_") +
+         "}";
 }

@@ -24,6 +24,7 @@
 #ifndef VIRGIL_VM_VM_H
 #define VIRGIL_VM_VM_H
 
+#include "core/Counters.h"
 #include "core/FeatureAxis.h"
 #include "types/TypeRelations.h"
 #include "vm/BcPrepare.h"
@@ -37,25 +38,6 @@ namespace virgil {
 namespace jit {
 class JitTier;
 }
-
-struct VmCounters {
-  uint64_t Instrs = 0;
-  uint64_t Calls = 0;
-  uint64_t IndirectCalls = 0;
-  uint64_t VirtualCalls = 0;
-  /// Explicit allocations only — `C.new(...)`, `Array<T>.new(n)`, and
-  /// string literals. Nothing else allocates (paper §4.3).
-  uint64_t HeapObjects = 0;
-  uint64_t HeapArrays = 0;
-  uint64_t StringAllocs = 0;
-  /// Inline-cache behaviour at CallV sites.
-  uint64_t IcHits = 0;
-  uint64_t IcMisses = 0;
-  /// Superinstructions: pairs fused at load time, and fused dispatches
-  /// executed (each counts as 2 toward Instrs).
-  uint64_t FusedStatic = 0;
-  uint64_t FusedExecuted = 0;
-};
 
 /// Execution-engine knobs (the E12 ablation axes) plus the per-run
 /// resource quotas the server relies on for request isolation.
@@ -102,24 +84,6 @@ struct VmOptions {
   uint32_t JitThreshold = axisDefault(Axis::JitThreshold);
 };
 
-/// JIT tier activity for one Vm, reported per run (cumulative across
-/// pooled reuse). Availability is probed once per Vm: Available=false
-/// means the host cannot execute generated code (or the build is not
-/// x86-64) and the run fell back to the interpreter.
-struct VmJitStats {
-  bool Available = false;
-  bool Enabled = false; ///< tier constructed and live for this Vm
-  uint64_t Compiles = 0;
-  uint64_t CompileFailures = 0;
-  uint64_t CompileNs = 0;
-  uint64_t CodeBytes = 0;
-  uint64_t Enters = 0;      ///< driver transitions into native code
-  uint64_t OsrEntries = 0;  ///< entries at a non-zero pc
-  uint64_t Deopts = 0;      ///< GC-invalidation exits to the interpreter
-  uint64_t IcPatches = 0;
-  uint64_t IcMegamorphic = 0;
-};
-
 /// Why a run trapped: a fault in the program itself, or one of the
 /// resource quotas. The server maps these onto wire-level outcomes.
 enum class VmTrapCause : uint8_t {
@@ -140,10 +104,17 @@ struct VmResult {
   std::string Output;
   VmCounters Counters;
   HeapStats Heap;
+  /// JIT activity of this run alone: the tier's compiled code and
+  /// counters survive pooled reuse, so runs report deltas that sum.
   VmJitStats Jit;
   /// "threaded" or "switch" — what actually ran.
   std::string DispatchMode;
 };
+
+/// The --vm-stats document of \p R: one JSON object with the
+/// VmCounters rows, the heap's GC counters, the VmJitStats rows keyed
+/// "jit_<key>", the dispatch mode and whether the run trapped.
+std::string vmStatsJson(const VmResult &R);
 
 class Vm {
 public:

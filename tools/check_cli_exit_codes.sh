@@ -8,7 +8,8 @@
 #   2  usage error (no inputs, unknown option, bad --jobs)
 #   3  an input file could not be opened
 #   4  compiles succeeded but at least one --run trapped
-# Errors must go to stderr; stdout stays machine-friendly.
+# Errors must go to stderr; stdout stays machine-friendly, and its JSON
+# line (like --vm-stats' line on stderr) must parse.
 #
 # The engine feature flags (the FeatureAxes table, core/FeatureAxis.h)
 # are checked per tool mode: every legal value is accepted, a bad one
@@ -80,6 +81,17 @@ expect 2 "unknown --dump-ir pass" --dump-ir=fold "$DIR/good.v"
 expect 1 "compile error + trap" batch --run "$DIR/bad_compile.v" "$DIR/traps.v"
 
 echo "PASS: batch exit codes 0/1/2/3/4 all verified"
+
+# The machine-readable outputs parse: the batch JSON line (the last
+# stdout line) and the --vm-stats line (stderr).
+PARSE='import json,sys; json.load(sys.stdin)'
+"$VIRGILC" batch --stats "$DIR/good.v" > "$DIR/batch_out"
+tail -n 1 "$DIR/batch_out" | python3 -c "$PARSE" \
+  || fail "batch JSON line does not parse: $(tail -n 1 "$DIR/batch_out")"
+"$VIRGILC" --vm-stats "$DIR/good.v" > /dev/null 2> "$DIR/vm_stats"
+python3 -c "$PARSE" < "$DIR/vm_stats" \
+  || fail "--vm-stats line does not parse: $(cat "$DIR/vm_stats")"
+echo "ok: batch JSON line and --vm-stats parse"
 
 # The axis contract, one line per flag a mode takes: mode, flag, then
 # its legal values ("-" for a fuzz-mode switch that selects oracle

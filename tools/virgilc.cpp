@@ -233,7 +233,7 @@ static int runBatch(int Argc, char **Argv) {
   if (Service.cache())
     std::printf("; cache: %zu hits / %zu misses (%.1f%% hit rate)",
                 S.Hits, S.Misses, S.hitRatePct());
-  if (S.Share.Enabled)
+  if (S.Share.FunctionsBefore) // some job compiled with sharing on
     std::printf("; share: %zu -> %zu functions (x%.2f, %zu bodies "
                 "merged)",
                 S.Share.FunctionsBefore, S.Share.FunctionsAfter,
@@ -241,51 +241,12 @@ static int runBatch(int Argc, char **Argv) {
   std::printf("; wall %.2f ms (%.2f ms of job time)\n", S.WallMs,
               S.TotalJobMs);
   if (ShowStats) {
-    std::printf("phases: %s\n", S.Phases.toString().c_str());
-    std::printf("opt: %zu allocs elided, %zu fields scalarized, %zu "
-                "closures flattened; %zu devirtualized (%zu by CHA), "
-                "%zu inlined\n",
-                S.Opt.AllocsElided, S.Opt.FieldsScalarized,
-                S.Opt.ClosuresFlattened, S.Opt.CallsDevirtualized,
-                S.Opt.DevirtualizedByCha, S.Opt.CallsInlined);
-    std::printf("ssa: %s, %zu phis placed, %zu sccp folds, %zu loads "
-                "eliminated, %zu stores killed, %zu null checks "
-                "removed; %zu pass visits skipped\n",
-                Options.Compile.Opt.Ssa ? "on" : "off", S.Opt.PhisPlaced,
-                S.Opt.SccpFolded, S.Opt.LoadsEliminated,
-                S.Opt.StoresKilled, S.Opt.NullChecksRemoved,
-                S.Opt.PassRunsSkipped);
+    std::printf("axes: %s\n",
+                axisFlags(Options.Compile, ~AxisSet(0), false).c_str());
+    std::printf("phases: %s\n", countersText(S.Phases).c_str());
+    std::printf("opt: %s\n", countersText(S.Opt).c_str());
   }
-  std::printf("{\"jobs\":%d,\"files\":%zu,\"ok\":%zu,\"failed\":%zu,"
-              "\"hits\":%zu,\"misses\":%zu,\"hit_rate_pct\":%.1f,"
-              "\"share_enabled\":%s,\"bodies_shared\":%zu,"
-              "\"share_ratio\":%.2f,"
-              "\"escape_enabled\":%s,\"allocs_elided\":%zu,"
-              "\"fields_scalarized\":%zu,\"closures_flattened\":%zu,"
-              "\"devirtualized\":%zu,\"devirtualized_by_cha\":%zu,"
-              "\"ssa_enabled\":%s,\"phis_placed\":%zu,"
-              "\"sccp_folded\":%zu,\"loads_eliminated\":%zu,"
-              "\"stores_killed\":%zu,\"null_checks_removed\":%zu,"
-              "\"pass_runs_skipped\":%zu,"
-              "\"pass_ms\":{\"devirt\":%.3f,\"inline\":%.3f,"
-              "\"dce\":%.3f,\"escape\":%.3f,\"deadfields\":%.3f,"
-              "\"ssa\":%.3f},"
-              "\"wall_ms\":%.2f}\n",
-              Options.Jobs, S.Jobs, S.Succeeded, S.Failed, S.Hits,
-              S.Misses, S.hitRatePct(),
-              S.Share.Enabled ? "true" : "false", S.Share.BodiesShared,
-              S.Share.shareRatio(),
-              Options.Compile.Opt.Escape ? "true" : "false",
-              S.Opt.AllocsElided, S.Opt.FieldsScalarized,
-              S.Opt.ClosuresFlattened, S.Opt.CallsDevirtualized,
-              S.Opt.DevirtualizedByCha,
-              Options.Compile.Opt.Ssa ? "true" : "false",
-              S.Opt.PhisPlaced, S.Opt.SccpFolded, S.Opt.LoadsEliminated,
-              S.Opt.StoresKilled, S.Opt.NullChecksRemoved,
-              S.Opt.PassRunsSkipped, S.Phases.PassDevirtMs,
-              S.Phases.PassInlineMs, S.Phases.PassDceMs,
-              S.Phases.PassEscapeMs, S.Phases.PassDeadFieldsMs,
-              S.Phases.PassSsaMs, S.WallMs);
+  std::printf("%s\n", S.toJson(Options).c_str());
   if (AnyCompileFailed)
     return BatchCompileFailed;
   return AnyTrapped ? BatchTrapped : BatchOk;
@@ -494,28 +455,15 @@ int main(int Argc, char **Argv) {
     std::printf("poly: %s\n", S.Poly.toString().c_str());
     std::printf("mono: %s (expansion %.2fx functions)\n",
                 S.MonoIr.toString().c_str(), S.Mono.functionExpansion());
-    std::printf("share: %s, %zu -> %zu functions (x%.2f, %zu bodies "
-                "merged)\n",
-                S.Share.Enabled ? "on" : "off", S.Share.FunctionsBefore,
-                S.Share.FunctionsAfter, S.Share.shareRatio(),
-                S.Share.BodiesShared);
+    std::printf("share: %s (x%.2f)\n", countersText(S.Share).c_str(),
+                S.Share.shareRatio());
     std::printf("norm: %s\n", S.NormIr.toString().c_str());
     OptStats Opt = S.OptAfterMono;
     Opt += S.OptAfterNorm;
-    std::printf("opt: escape %s, %zu allocs elided, %zu fields "
-                "scalarized, %zu closures flattened; %zu devirtualized "
-                "(%zu by CHA), %zu inlined\n",
-                Options.Opt.Escape ? "on" : "off", Opt.AllocsElided,
-                Opt.FieldsScalarized, Opt.ClosuresFlattened,
-                Opt.CallsDevirtualized, Opt.DevirtualizedByCha,
-                Opt.CallsInlined);
-    std::printf("ssa: %s, %zu phis placed, %zu sccp folds, %zu loads "
-                "eliminated, %zu stores killed, %zu null checks "
-                "removed; %zu pass visits skipped\n",
-                Options.Opt.Ssa ? "on" : "off", Opt.PhisPlaced,
-                Opt.SccpFolded, Opt.LoadsEliminated, Opt.StoresKilled,
-                Opt.NullChecksRemoved, Opt.PassRunsSkipped);
-    std::printf("time: %s\n", S.Timings.toString().c_str());
+    std::printf("axes: %s\n",
+                axisFlags(Options, ~AxisSet(0), false).c_str());
+    std::printf("opt: %s\n", countersText(Opt).c_str());
+    std::printf("time: %s\n", countersText(S.Timings).c_str());
   }
   if (DumpAst || DumpIr || DumpMono || DumpNorm)
     return 0;
@@ -533,57 +481,10 @@ int main(int Argc, char **Argv) {
   }
   VmResult R = Program->runVm(VmOpts);
   std::fputs(R.Output.c_str(), stdout);
-  if (ShowVmStats) {
-    // One machine-readable JSON line on stderr, so it composes with
-    // program output on stdout.
-    const VmCounters &C = R.Counters;
-    std::fprintf(
-        stderr,
-        "{\"dispatch\":\"%s\",\"instrs\":%llu,\"calls\":%llu,"
-        "\"virtual_calls\":%llu,\"indirect_calls\":%llu,"
-        "\"ic_hits\":%llu,\"ic_misses\":%llu,"
-        "\"fused_static\":%llu,\"fused_executed\":%llu,"
-        "\"heap_objects\":%llu,\"heap_arrays\":%llu,"
-        "\"string_allocs\":%llu,\"gcs\":%llu,"
-        "\"gc_minor\":%llu,\"gc_major\":%llu,"
-        "\"gc_minor_pause_ns\":%llu,\"gc_major_pause_ns\":%llu,"
-        "\"gc_survival\":%.4f,\"barrier_hits\":%llu,"
-        "\"remembered_slots\":%llu,"
-        "\"jit_available\":%s,\"jit_enabled\":%s,"
-        "\"jit_compiles\":%llu,\"jit_compile_failures\":%llu,"
-        "\"jit_compile_ns\":%llu,\"jit_code_bytes\":%llu,"
-        "\"jit_enters\":%llu,\"jit_osr_entries\":%llu,"
-        "\"jit_deopts\":%llu,\"jit_ic_patches\":%llu,"
-        "\"jit_ic_megamorphic\":%llu,\"trapped\":%s}\n",
-        R.DispatchMode.c_str(), (unsigned long long)C.Instrs,
-        (unsigned long long)C.Calls, (unsigned long long)C.VirtualCalls,
-        (unsigned long long)C.IndirectCalls,
-        (unsigned long long)C.IcHits, (unsigned long long)C.IcMisses,
-        (unsigned long long)C.FusedStatic,
-        (unsigned long long)C.FusedExecuted,
-        (unsigned long long)C.HeapObjects,
-        (unsigned long long)C.HeapArrays,
-        (unsigned long long)C.StringAllocs,
-        (unsigned long long)R.Heap.Collections,
-        (unsigned long long)R.Heap.MinorCollections,
-        (unsigned long long)R.Heap.MajorCollections,
-        (unsigned long long)R.Heap.MinorPauses.SumNs,
-        (unsigned long long)R.Heap.MajorPauses.SumNs,
-        R.Heap.survivalRate(), (unsigned long long)R.Heap.BarrierHits,
-        (unsigned long long)R.Heap.RememberedSlots,
-        R.Jit.Available ? "true" : "false",
-        R.Jit.Enabled ? "true" : "false",
-        (unsigned long long)R.Jit.Compiles,
-        (unsigned long long)R.Jit.CompileFailures,
-        (unsigned long long)R.Jit.CompileNs,
-        (unsigned long long)R.Jit.CodeBytes,
-        (unsigned long long)R.Jit.Enters,
-        (unsigned long long)R.Jit.OsrEntries,
-        (unsigned long long)R.Jit.Deopts,
-        (unsigned long long)R.Jit.IcPatches,
-        (unsigned long long)R.Jit.IcMegamorphic,
-        R.Trapped ? "true" : "false");
-  }
+  // One machine-readable JSON line on stderr, so it composes with
+  // program output on stdout.
+  if (ShowVmStats)
+    std::fprintf(stderr, "%s\n", vmStatsJson(R).c_str());
   if (R.Trapped) {
     std::fprintf(stderr, "trap: %s\n", R.TrapMessage.c_str());
     return 1;
