@@ -189,6 +189,45 @@ def main() -> int {
   EXPECT_EQ((int)R.ResultBits, 42);
 }
 
+TEST(SsaTest, SccpFoldsCastsThatCannotFail) {
+  // byte -> int always succeeds, and int -> byte does for a constant in
+  // [0, 255]: once inlining makes the operand constant, SCCP folds the
+  // cast into a constant of the destination type.
+  const char *Widen = R"(
+def f(b: byte) -> int { return int.!(b); }
+def main() -> int { return f('a'); }
+)";
+  const char *Narrow = R"(
+def g(i: int) -> byte { return byte.!(i); }
+def main() -> int { return int.!(g(200)); }
+)";
+  for (auto [Src, Want] : {std::pair{Widen, 97}, std::pair{Narrow, 200}}) {
+    auto P = compileWithSsa(Src, /*Ssa=*/true);
+    ASSERT_NE(P, nullptr);
+    EXPECT_EQ(countOpcode(*findFunc(P->normIr(), "main"), Opcode::TypeCast),
+              0u)
+        << Src;
+    virgil::testing::RunOutcome O = runAllStrategies(Src);
+    EXPECT_FALSE(O.Trapped) << O.TrapMessage;
+    EXPECT_EQ(O.Result, Want) << Src;
+  }
+}
+
+TEST(SsaTest, SccpKeepsOutOfRangeByteCast) {
+  // int -> byte of a constant outside [0, 255] must still trap, in
+  // every strategy.
+  for (int V : {300, -1}) {
+    std::string Src = "def g(i: int) -> byte { return byte.!(i); }\n"
+                      "def main() -> int { return int.!(g(" +
+                      std::to_string(V) + ")); }\n";
+    auto P = compileWithSsa(Src, /*Ssa=*/true);
+    ASSERT_NE(P, nullptr);
+    EXPECT_GT(countOpcode(*findFunc(P->normIr(), "main"), Opcode::TypeCast),
+              0u);
+    virgil::testing::expectTrap(Src);
+  }
+}
+
 TEST(SsaTest, LoadElimAcrossDominatingFieldGet) {
   // Both arms of the diamond re-read fields a dominating block already
   // loaded; the dominance-scoped availability map must satisfy the
