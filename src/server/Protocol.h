@@ -82,7 +82,7 @@ struct ExecuteResponse {
   double CompileMs = 0;    ///< Cache probe + compile (or deserialize).
   double ExecuteMs = 0;    ///< VM wall time.
   uint64_t Instrs = 0;     ///< VM instructions executed.
-  std::string TimingsJson; ///< PhaseTimings::toJson(); "{}" on a hit.
+  std::string TimingsJson; ///< JobResult::timingsJson(); "{}" on a hit.
   /// Per-request GC activity on the request's isolated VM heap.
   uint64_t GcMinor = 0;     ///< Minor (nursery) collections.
   uint64_t GcMajor = 0;     ///< Major (full) collections.
